@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureBag, PromptSet, top_count
+from .data import top_count
 from .errors import ConfigError, DegenerateInputError, ShapeError
 
 SINKHORN_EPSILON = 0.1
@@ -86,16 +86,6 @@ class MatchingResult:
     selected: np.ndarray       # ascending indices of the kept tokens
     converged: bool = True
     residual: float = 0.0
-
-
-def cost_matrix(bag: FeatureBag, prompts: PromptSet) -> np.ndarray:
-    """Cosine-distance costs: C[m, n] = 1 - cos(token_m, prompt_n), in [0, 2]."""
-    if bag.dim != prompts.dim:
-        raise ShapeError(
-            f"token dim {bag.dim} != prompt dim {prompts.dim} "
-            f"({bag.level} bag vs {prompts.level} prompts)"
-        )
-    return cosine_cost(bag.tokens, prompts.prompts)
 
 
 def cosine_cost(tokens: np.ndarray, prompts: np.ndarray) -> np.ndarray:

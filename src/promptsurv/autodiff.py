@@ -10,13 +10,19 @@ All operations are deterministic: with identical inputs the forward values
 and backward gradients are bit-identical across runs. A graph belongs to
 one thread; wrapped matrices are treated as immutable and may be shared
 read-only, so independent graphs can run in parallel threads.
+
+The fused operations (`linear`, `lerp`, `cumprod_complement`,
+`l2_normalize_row`) each replace a chain of elementary operations. Each
+performs the same floating-point operations, in the same order, as that
+chain, in its value and in every gradient it accumulates, so the graph is
+bit-identical to the chain's, with fewer nodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, ShapeError
+from .errors import DegenerateInputError, DomainError, EmptyInputError, ShapeError
 
 
 def as_matrix(data) -> np.ndarray:
@@ -185,11 +191,6 @@ def scale(a: Node, factor: float) -> Node:
             a.accumulate(factor * g)
 
     return _make(factor * a.value, (a,), backward)
-
-
-def sub(a: Node, b: Node) -> Node:
-    """Convenience composition: a + (-b)."""
-    return add(a, neg(b))
 
 
 def sigmoid(a: Node) -> Node:
@@ -381,6 +382,82 @@ def softmax_cols(a: Node) -> Node:
             a.accumulate(value * (g - inner))
 
     return _make(value, (a,), backward)
+
+
+# ---------------------------------------------------------------------------
+# fused operations
+
+
+def linear(x: Node, weight: Node, bias: Node) -> Node:
+    """x @ weight + bias, with the 1xD bias row repeated across the rows of x."""
+    xs, ws, bs = x.value.shape, weight.value.shape, bias.value.shape
+    if xs[1] != ws[0] or bs != (1, ws[1]):
+        raise ShapeError(f"linear shape mismatch: {xs} @ {ws} + {bs}")
+    value = x.value @ weight.value + bias.value
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g @ weight.value.T)
+        if weight.requires_grad:
+            weight.accumulate(x.value.T @ g)
+        if bias.requires_grad:
+            # a ones-row product, not g.sum(axis=0): the two round differently
+            bias.accumulate(np.ones((1, xs[0])) @ g)
+
+    return _make(value, (x, weight, bias), backward)
+
+
+def lerp(w: Node, a: Node, b: Node) -> Node:
+    """Entrywise blend w * a + (1 - w) * b."""
+    _require_same_shape("lerp", w, a)
+    _require_same_shape("lerp", w, b)
+    rest = 1.0 - w.value
+    value = w.value * a.value + rest * b.value
+
+    def backward(g):
+        if w.requires_grad:
+            w.accumulate(g * a.value - g * b.value)
+        if a.requires_grad:
+            a.accumulate(g * w.value)
+        if b.requires_grad:
+            b.accumulate(g * rest)
+
+    return _make(value, (w, a, b), backward)
+
+
+def cumprod_complement(h: Node) -> Node:
+    """Running product along each row of (1 - h): out[:, t] = prod_{s<=t} (1 - h[:, s])."""
+    _require_nonempty("cumprod_complement", h)
+    rest = 1.0 - h.value
+    value = np.cumprod(rest, axis=1)
+    before = np.concatenate([np.ones((h.value.shape[0], 1)), value[:, :-1]], axis=1)
+
+    def backward(g):
+        if h.requires_grad:
+            carried = g.copy()  # each running product's gradient, from the last back
+            for t in range(g.shape[1] - 2, -1, -1):
+                carried[:, t] += carried[:, t + 1] * rest[:, t + 1]
+            h.accumulate(-(carried * before))
+
+    return _make(value, (h,), backward)
+
+
+def l2_normalize_row(row: Node) -> Node:
+    """A 1xD row divided by its Euclidean norm; a zero row has no direction."""
+    s = row.value
+    sq_norm = np.array([[(s * s).sum()]])
+    if sq_norm[0, 0] == 0.0:
+        raise DegenerateInputError("cannot normalize a zero row")
+    inv_norm = np.exp(-0.5 * np.log(sq_norm))  # 1x1: (sum of squares)^(-1/2)
+    value = inv_norm @ s
+
+    def backward(g):
+        if row.requires_grad:
+            g_sq = ((-0.5 * ((g @ s.T) * inv_norm)) / sq_norm)[0, 0]
+            # the chain's order: the direct term, then one term per factor of s * s
+            row.accumulate(inv_norm.T @ g + g_sq * s + g_sq * s)
+
+    return _make(value, (row,), backward)
 
 
 def _require_same_shape(op: str, a: Node, b: Node):

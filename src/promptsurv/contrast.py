@@ -31,12 +31,7 @@ def prototype_node(selected: ad.Node) -> ad.Node:
     Differentiable through both the sum and the normalization; raises on a
     zero-sum token set (no direction to normalize).
     """
-    summed = ad.sum_cols(selected)  # 1 x d
-    sq_norm = ad.sum_all(ad.mul(summed, summed))
-    if sq_norm.value[0, 0] == 0.0:
-        raise DegenerateInputError("selected tokens sum to the zero vector")
-    inv_norm = ad.exp(ad.scale(ad.log(sq_norm), -0.5))  # 1x1: (sum of squares)^(-1/2)
-    return ad.matmul(inv_norm, summed)
+    return ad.l2_normalize_row(ad.sum_cols(selected))
 
 
 def make_prototype(selected: ad.Node, patient_id: str) -> tuple[ad.Node, Prototype]:
@@ -98,7 +93,7 @@ def contrastive_loss(anchor: ad.Node, positive: ad.Node,
         pos = ad.scale(pos, 1.0 / temperature)
         neg_dots = ad.scale(neg_dots, 1.0 / temperature)
     denom = ad.add(ad.exp(pos), ad.sum_all(ad.exp(neg_dots)))
-    return ad.sub(ad.log(denom), pos)
+    return ad.add(ad.log(denom), ad.neg(pos))
 
 
 def mutual_contrastive_loss(proto_patch: ad.Node, proto_region: ad.Node,

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataValidationError, ShapeError
+from .autodiff import linear
+from .errors import DataValidationError
 
 
 @dataclass
@@ -24,16 +25,6 @@ class GateParams:
     b_patch: ad.Node  # 1 x d
     w_region: ad.Node  # d x d
     b_region: ad.Node  # 1 x d
-
-    def nodes(self) -> dict[str, ad.Node]:
-        return {
-            "gate.w_gate": self.w_gate,
-            "gate.b_gate": self.b_gate,
-            "gate.w_patch": self.w_patch,
-            "gate.b_patch": self.b_patch,
-            "gate.w_region": self.w_region,
-            "gate.b_region": self.b_region,
-        }
 
 
 def pool_to_regions(selected_tokens: np.ndarray, selected_indices: np.ndarray,
@@ -59,13 +50,6 @@ def pool_to_regions(selected_tokens: np.ndarray, selected_indices: np.ndarray,
     return pooled
 
 
-def linear(x: ad.Node, weight: ad.Node, bias: ad.Node) -> ad.Node:
-    """x @ weight + bias, with the 1xD bias row repeated across rows."""
-    out = ad.matmul(x, weight)
-    ones = ad.constant(np.ones((x.shape[0], 1)))
-    return ad.add(out, ad.matmul(ones, bias))
-
-
 def gate_fuse(pooled: ad.Node, region_bag: ad.Node, params: GateParams) -> ad.Node:
     """Recalibrate the region bag against the pooled patch evidence.
 
@@ -73,16 +57,8 @@ def gate_fuse(pooled: ad.Node, region_bag: ad.Node, params: GateParams) -> ad.No
     elementwise combination of the two tanh-projected streams, so every
     output entry stays strictly inside (-1, 1).
     """
-    if pooled.shape != region_bag.shape:
-        raise ShapeError(
-            f"pooled shape {pooled.shape} != region bag shape {region_bag.shape}"
-        )
     stacked = ad.concat_cols(pooled, region_bag)
     gate = ad.sigmoid(linear(stacked, params.w_gate, params.b_gate))
     patch_stream = ad.tanh(linear(pooled, params.w_patch, params.b_patch))
     region_stream = ad.tanh(linear(region_bag, params.w_region, params.b_region))
-    ones = ad.constant(np.ones(gate.shape))
-    return ad.add(
-        ad.mul(gate, patch_stream),
-        ad.mul(ad.sub(ones, gate), region_stream),
-    )
+    return ad.lerp(gate, patch_stream, region_stream)

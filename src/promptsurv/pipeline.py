@@ -208,9 +208,6 @@ class AttnParams:
     u: ad.Node  # d x da, sigmoid branch
     w: ad.Node  # da x 1, scoring vector
 
-    def nodes(self) -> dict[str, ad.Node]:
-        return {"attn.v": self.v, "attn.u": self.u, "attn.w": self.w}
-
 
 def attention_pool(bag: ad.Node, attn: AttnParams) -> ad.Node:
     """ABMIL-style gated attention: softmax-weighted token mean (1 x d)."""
@@ -232,48 +229,33 @@ def build_parameters(d: int, cfg: TrainConfig, switches: VariantSwitches,
                      fold: int = 0):
     """Create the trainable nodes for the enabled modules.
 
-    Each parameter draws from its own named stream, so disabled modules
+    Each parameter draws from the stream named after it, so disabled modules
     consume no randomness and enabling one never shifts another's init.
     """
-    head = HeadParams(
-        weight=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "head.weight"),
-                                          d, cfg.n_bins, d), "head.weight"),
-        bias=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "head.bias"),
-                                        1, cfg.n_bins, d), "head.bias"),
-    )
-    gate = None
-    if switches.use_gate:
-        gate = GateParams(
-            w_gate=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "gate.w_gate"),
-                                              2 * d, d, 2 * d), "gate.w_gate"),
-            b_gate=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "gate.b_gate"),
-                                              1, d, 2 * d), "gate.b_gate"),
-            w_patch=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "gate.w_patch"),
-                                               d, d, d), "gate.w_patch"),
-            b_patch=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "gate.b_patch"),
-                                               1, d, d), "gate.b_patch"),
-            w_region=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "gate.w_region"),
-                                                d, d, d), "gate.w_region"),
-            b_region=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "gate.b_region"),
-                                                1, d, d), "gate.b_region"),
-        )
+    params: dict[str, ad.Node] = {}
+
+    def param(name: str, rows: int, cols: int, fan_in: int) -> ad.Node:
+        init = _uniform_init(_stream(cfg.seed, fold, name), rows, cols, fan_in)
+        params[name] = ad.parameter(init, name)
+        return params[name]
+
     attn = None
     if not switches.use_selection:
         da = cfg.attention_dim or d
-        attn = AttnParams(
-            v=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "attn.v"), d, da, d),
-                           "attn.v"),
-            u=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "attn.u"), d, da, d),
-                           "attn.u"),
-            w=ad.parameter(_uniform_init(_stream(cfg.seed, fold, "attn.w"), da, 1, da),
-                           "attn.w"),
+        attn = AttnParams(v=param("attn.v", d, da, d), u=param("attn.u", d, da, d),
+                          w=param("attn.w", da, 1, da))
+    gate = None
+    if switches.use_gate:
+        gate = GateParams(
+            w_gate=param("gate.w_gate", 2 * d, d, 2 * d),
+            b_gate=param("gate.b_gate", 1, d, 2 * d),
+            w_patch=param("gate.w_patch", d, d, d),
+            b_patch=param("gate.b_patch", 1, d, d),
+            w_region=param("gate.w_region", d, d, d),
+            b_region=param("gate.b_region", 1, d, d),
         )
-    params: dict[str, ad.Node] = {}
-    if attn is not None:
-        params.update(attn.nodes())
-    if gate is not None:
-        params.update(gate.nodes())
-    params.update(head.nodes())
+    head = HeadParams(weight=param("head.weight", d, cfg.n_bins, d),
+                      bias=param("head.bias", 1, cfg.n_bins, d))
     return params, head, gate, attn
 
 
@@ -312,7 +294,7 @@ class Pipeline:
         self.loss_cfg = LossConfig(lam=cfg.lam)
         self.queue_patch = MemoryQueue(cfg.queue_length)
         self.queue_region = MemoryQueue(cfg.queue_length)
-        self._patch_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._patch_cache: dict[str, tuple] = {}
 
     # -- forward pieces ----------------------------------------------------
 
@@ -328,46 +310,51 @@ class Pipeline:
             return cosine_scores_multi(tokens, prompts)
         return cosine_scores_single(tokens, prompts)
 
-    def _select_patch(self, rec: PatientRecord) -> tuple[np.ndarray, np.ndarray]:
-        """Selected patch indices and values; constant per patient, cached."""
+    def _patch_constants(self, rec: PatientRecord) -> tuple:
+        """Selected patch indices and token node, their pooling into regions
+        (gate on) and their prototype (contrast on, lambda > 0). No parameter
+        reaches them, so they are computed once per patient and cached."""
         cached = self._patch_cache.get(rec.patient_id)
         if cached is None:
             tokens = rec.patch_bag.tokens
             idx = select_top(self._score_tokens(tokens, PATCH), self.cfg.r)
-            cached = (idx, tokens[idx])
+            selected = ad.constant(tokens[idx])
+            pooled = prototype = None
+            if self.switches.use_gate:
+                pooled = ad.constant(pool_to_regions(
+                    selected.value, idx, rec.patch_bag.parent_region, rec.region_bag.size))
+            if self.switches.use_contrast and self.cfg.lam > 0.0:
+                prototype = make_prototype(selected, rec.patient_id)
+            cached = (idx, selected, pooled, prototype)
             self._patch_cache[rec.patient_id] = cached
         return cached
 
     def forward(self, rec: PatientRecord):
         """Build the hazard graph for one patient.
 
-        Returns (hazard node, selected patch node or None, selected region
-        node or None, selection log entries).
+        Returns (hazard node, patch prototype as (node, queue entry) or None,
+        selected region node or None, selection log entries).
         """
         selections = []
         if not self.switches.use_selection:
             pooled = attention_pool(ad.constant(rec.patch_bag.tokens), self.attn)
             return hazards(pooled, self.head), None, None, selections
 
-        patch_idx, patch_values = self._select_patch(rec)
+        patch_idx, patch_node, pooled, patch_proto = self._patch_constants(rec)
         selections.append((rec.patient_id, PATCH, [int(i) for i in patch_idx]))
-        patch_node = ad.constant(patch_values)
 
         region_node = None
         if self.switches.use_regions:
             region_input = ad.constant(rec.region_bag.tokens)
             if self.switches.use_gate:
-                pooled = pool_to_regions(patch_values, patch_idx,
-                                         rec.patch_bag.parent_region,
-                                         rec.region_bag.size)
-                region_input = gate_fuse(ad.constant(pooled), region_input, self.gate)
+                region_input = gate_fuse(pooled, region_input, self.gate)
             region_idx = select_top(self._score_tokens(region_input.value, REGION),
                                     self.cfg.r)
             selections.append((rec.patient_id, REGION, [int(i) for i in region_idx]))
             region_node = ad.gather_rows(region_input, region_idx)
 
         fused = fuse(patch_node, region_node)
-        return hazards(fused, self.head), patch_node, region_node, selections
+        return hazards(fused, self.head), patch_proto, region_node, selections
 
     def patient_loss(self, rec: PatientRecord, update_queues: bool = True) -> ad.Node:
         """Total training loss node for one patient.
@@ -380,12 +367,12 @@ class Pipeline:
         if rec.time_bin is None:
             raise ConfigError(f"patient {rec.patient_id} has no time_bin; "
                               "run the discretizer before training")
-        h, patch_node, region_node, _ = self.forward(rec)
+        h, patch_proto, region_node, _ = self.forward(rec)
         s = survival_curve(h)
         l_sur = nll_loss(h, s, rec.censor, rec.time_bin)
         l_con = None
-        if self.switches.use_contrast and self.cfg.lam > 0.0:
-            proto_p_node, proto_p = make_prototype(patch_node, rec.patient_id)
+        if patch_proto is not None:
+            proto_p_node, proto_p = patch_proto
             proto_r_node, proto_r = make_prototype(region_node, rec.patient_id)
             l_con = mutual_contrastive_loss(proto_p_node, proto_r_node,
                              self.queue_patch, self.queue_region,

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError
-from .fusion import linear
+from .errors import ConfigError
 
 LOG_CLAMP = 1e-12
 
@@ -37,46 +36,23 @@ class HeadParams:
     weight: ad.Node  # d x T
     bias: ad.Node    # 1 x T
 
-    def nodes(self) -> dict[str, ad.Node]:
-        return {"head.weight": self.weight, "head.bias": self.bias}
-
-    @property
-    def n_bins(self) -> int:
-        return self.weight.shape[1]
-
 
 def fuse(selected_patch: ad.Node, selected_region: ad.Node | None) -> ad.Node:
     """Stack the selected patch and region tokens into one token set."""
     if selected_region is None:
         return selected_patch
-    if selected_patch.shape[1] != selected_region.shape[1]:
-        raise ShapeError(
-            f"cannot fuse token dims {selected_patch.shape[1]} and "
-            f"{selected_region.shape[1]}"
-        )
     return ad.concat_rows(selected_patch, selected_region)
 
 
 def hazards(fused: ad.Node, head: HeadParams) -> ad.Node:
     """Per-bin hazard probabilities: sigmoid(linear(mean-pooled tokens))."""
     pooled = ad.mean_rows(fused)  # 1 x d
-    return ad.sigmoid(linear(pooled, head.weight, head.bias))
+    return ad.sigmoid(ad.linear(pooled, head.weight, head.bias))
 
 
 def survival_curve(h: ad.Node) -> ad.Node:
     """S(t) = prod_{s<=t} (1 - h(s)) as a 1xT node (S(0) = 1 implicitly)."""
-    n_bins = h.shape[1]
-    one = ad.constant([[1.0]])
-    cols = []
-    running = one
-    for t in range(n_bins):
-        h_t = _pick(h, t)
-        running = ad.mul(running, ad.sub(one, h_t))
-        cols.append(running)
-    out = cols[0]
-    for col in cols[1:]:
-        out = ad.concat_cols(out, col)
-    return out
+    return ad.cumprod_complement(h)
 
 
 def survival_curve_values(h: np.ndarray) -> np.ndarray:
@@ -117,9 +93,7 @@ def total_loss(l_sur: ad.Node, l_con: ad.Node | None, cfg: LossConfig) -> ad.Nod
 
 def _pick(row: ad.Node, col: int) -> ad.Node:
     """Extract one entry of a 1xT row as a 1x1 node."""
-    basis = np.zeros((row.shape[1], 1))
-    basis[col, 0] = 1.0
-    return ad.matmul(row, ad.constant(basis))
+    return ad.gather_rows(ad.transpose(row), [col])
 
 
 def _safe_log(x: ad.Node) -> ad.Node:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from promptsurv import autodiff as ad
-from promptsurv.errors import DomainError, EmptyInputError, ShapeError
+from promptsurv.errors import DegenerateInputError, DomainError, EmptyInputError, ShapeError
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -319,3 +319,135 @@ class TestDeterminism:
         second = run()
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
+
+
+def weighted_sum(out, weights):
+    """Scalar with a distinct gradient for every entry of `out`."""
+    return ad.sum_all(ad.mul(out, ad.constant(weights)))
+
+
+def assert_bit_identical(fused, chain, weights, params_fused, params_chain):
+    """Forward values and every parameter gradient agree byte for byte."""
+    assert fused.value.tobytes() == chain.value.tobytes()
+    weighted_sum(fused, weights).backward()
+    weighted_sum(chain, weights).backward()
+    for pf, pc in zip(params_fused, params_chain):
+        assert pf.grad.tobytes() == pc.grad.tobytes()
+
+
+def twin_parameters(*arrays):
+    """Two independent sets of parameter nodes over copies of the same values."""
+    return ([ad.parameter(a.copy()) for a in arrays],
+            [ad.parameter(a.copy()) for a in arrays])
+
+
+def linear_chain(x, weight, bias):
+    ones = ad.constant(np.ones((x.shape[0], 1)))
+    return ad.add(ad.matmul(x, weight), ad.matmul(ones, bias))
+
+
+def lerp_chain(w, a, b):
+    ones = ad.constant(np.ones(w.shape))
+    return ad.add(ad.mul(w, a), ad.mul(ad.add(ones, ad.neg(w)), b))
+
+
+def cumprod_complement_chain(h):
+    one = ad.constant([[1.0]])
+    running, out = one, None
+    for t in range(h.shape[1]):
+        basis = np.zeros((h.shape[1], 1))
+        basis[t, 0] = 1.0
+        h_t = ad.matmul(h, ad.constant(basis))
+        running = ad.mul(running, ad.add(one, ad.neg(h_t)))
+        out = running if out is None else ad.concat_cols(out, running)
+    return out
+
+
+def l2_normalize_row_chain(row):
+    sq_norm = ad.sum_all(ad.mul(row, row))
+    return ad.matmul(ad.exp(ad.scale(ad.log(sq_norm), -0.5)), row)
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_is_bit_identical_to_its_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        m, k, n = (int(v) for v in rng.integers(1, 9, size=3))
+        fused, chain = twin_parameters(rng.normal(size=(m, k)), rng.normal(size=(k, n)),
+                                       rng.normal(size=(1, n)))
+        assert_bit_identical(ad.linear(*fused), linear_chain(*chain),
+                             rng.normal(size=(m, n)), fused, chain)
+
+    def test_linear_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(20)
+        params = [ad.parameter(rng.normal(size=s)) for s in ((3, 4), (4, 2), (1, 2))]
+        weights = rng.normal(size=(3, 2))
+        assert ad.grad_check(lambda p: weighted_sum(ad.linear(*p), weights),
+                             params, h=1e-5) <= 1e-6
+
+    def test_linear_shape_error_names_the_shapes(self):
+        x, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((4, 2)))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\).*\(1, 2\)"):
+            ad.linear(x, w, ad.constant(np.ones((1, 2))))
+        with pytest.raises(ShapeError, match=r"\(1, 3\)"):
+            ad.linear(ad.constant(np.ones((2, 4))), w, ad.constant(np.ones((1, 3))))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lerp_is_bit_identical_to_its_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(v) for v in rng.integers(1, 7, size=2))
+        fused, chain = twin_parameters(rng.uniform(size=shape), rng.normal(size=shape),
+                                       rng.normal(size=shape))
+        assert_bit_identical(ad.lerp(*fused), lerp_chain(*chain),
+                             rng.normal(size=shape), fused, chain)
+
+    def test_lerp_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(21)
+        params = [ad.parameter(rng.normal(size=(3, 4))) for _ in range(3)]
+        weights = rng.normal(size=(3, 4))
+        assert ad.grad_check(lambda p: weighted_sum(ad.lerp(*p), weights),
+                             params, h=1e-5) <= 1e-6
+
+    @pytest.mark.parametrize("hazards", [
+        [0.2, 0.5, 0.7, 0.1],
+        [0.3, 1.0, 0.6, 1.0],   # exactly 1: the product is 0 from there on
+        [1.0, 0.0, 0.4],
+        [0.9],
+    ])
+    def test_cumprod_complement_is_bit_identical_to_its_chain(self, hazards):
+        rng = np.random.default_rng(len(hazards))
+        fused, chain = twin_parameters(np.array([hazards]))
+        assert_bit_identical(ad.cumprod_complement(*fused),
+                             cumprod_complement_chain(*chain),
+                             rng.normal(size=(1, len(hazards))), fused, chain)
+
+    @pytest.mark.parametrize("hazards", [
+        [[0.2, 0.5, 0.7, 0.1], [0.6, 0.3, 0.9, 0.4]],
+        [[0.3, 1.0, 0.6, 1.0]],
+    ])
+    def test_cumprod_complement_gradients_match_finite_differences(self, hazards):
+        h = ad.parameter(np.array(hazards))
+        weights = np.random.default_rng(22).normal(size=h.shape)
+        assert np.array_equal(ad.cumprod_complement(h).value,
+                              np.cumprod(1.0 - h.value, axis=1))
+        assert ad.grad_check(lambda p: weighted_sum(ad.cumprod_complement(p[0]), weights),
+                             [h], h=1e-5) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_l2_normalize_row_is_bit_identical_to_its_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 12))
+        fused, chain = twin_parameters(rng.normal(size=(1, d)))
+        assert_bit_identical(ad.l2_normalize_row(*fused), l2_normalize_row_chain(*chain),
+                             rng.normal(size=(1, d)), fused, chain)
+
+    def test_l2_normalize_row_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(23)
+        row = ad.parameter(rng.normal(size=(1, 5)))
+        weights = rng.normal(size=(1, 5))
+        assert ad.grad_check(lambda p: weighted_sum(ad.l2_normalize_row(p[0]), weights),
+                             [row], h=1e-5) <= 1e-6
+
+    def test_l2_normalize_row_rejects_a_zero_row(self):
+        with pytest.raises(DegenerateInputError):
+            ad.l2_normalize_row(ad.constant(np.zeros((1, 3))))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import build_cohort, params_bytes, read_all_bytes
+from promptsurv import autodiff as ad
+from promptsurv import pipeline
 from promptsurv.data import PATCH, REGION
 from promptsurv.errors import ConfigError
 from promptsurv.pipeline import (
@@ -212,6 +214,42 @@ class TestTraining:
             report = evaluate_fold(model, records[10:20], trace, fold=0)
             assert np.isfinite(trace[-1]), variant
             assert report.ci is None or 0.0 <= report.ci <= 1.0
+
+    def test_g_loss_graph_holds_only_the_trainable_path(self, small_cohort):
+        records, prompts, _ = small_cohort
+        model, _ = train_fold(records[:8], prompts, fast_cfg(epochs=1))
+        assert len(model.queue_patch) and len(model.queue_region)
+        sizes = []
+        for rec in records[8:12]:
+            for censor in (0, 1):
+                for time_bin in range(1, model.cfg.n_bins + 1):
+                    case = replace(rec, censor=censor, time_bin=time_bin)
+                    loss = model.patient_loss(case, update_queues=False)
+                    sizes.append(len(ad._toposort(loss)))
+        assert max(sizes) <= 65
+
+    def test_patch_constants_built_once_per_patient(self, small_cohort, monkeypatch):
+        records, prompts, _ = small_cohort
+        calls = {"pool": 0, "patch_prototype": 0}
+        pool, make_prototype = pipeline.pool_to_regions, pipeline.make_prototype
+
+        def counted_pool(*args):
+            calls["pool"] += 1
+            return pool(*args)
+
+        def counted_prototype(selected, patient_id):
+            calls["patch_prototype"] += not selected.requires_grad
+            return make_prototype(selected, patient_id)
+
+        monkeypatch.setattr(pipeline, "pool_to_regions", counted_pool)
+        monkeypatch.setattr(pipeline, "make_prototype", counted_prototype)
+        model, _ = train_fold(records[:6], prompts, fast_cfg(epochs=3))
+        assert model.adam.step_count == 18
+        assert calls == {"pool": 6, "patch_prototype": 6}
+        for variant, lam in (("F", 0.01), ("G", 0.0)):
+            calls["patch_prototype"] = 0
+            train_fold(records[:6], prompts, fast_cfg(epochs=2, variant=variant, lam=lam))
+            assert calls["patch_prototype"] == 0, variant
 
 
 class TestSplits:
