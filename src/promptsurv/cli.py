@@ -135,7 +135,7 @@ def _cmd_train(args) -> int:
 def _cmd_cv(args) -> int:
     cfg = _resolve_config(args)
     records, prompts = _load_discretized(args.manifest, cfg)
-    reports, summary = cross_validate(records, prompts, cfg, k=args.folds)
+    reports, summary = cross_validate(records, prompts, cfg, k=args.folds, memo={})
     emit_reports(reports, summary, cfg, args.out,
                  extra={"mode": "cv", "folds": args.folds})
     print(f"{args.folds}-fold CI: {summary['formatted']}")

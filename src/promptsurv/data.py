@@ -230,8 +230,9 @@ def load_cohort(manifest_path):
     """Load a cohort and its prompt sets from a manifest file.
 
     Returns (records, prompts) where prompts maps level name to PromptSet.
-    Rejects any dimension mismatch across patients or against the prompt
-    files, out-of-range parent indices, and non-finite embedding entries.
+    Rejects repeated patient ids, any dimension mismatch across patients or
+    against the prompt files, out-of-range parent indices, and non-finite
+    embedding entries.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -264,8 +265,10 @@ def load_cohort(manifest_path):
                 f"{prompt_files[level]} has d={pset.dim}"
             )
 
+    entries = manifest.get("patients", [])
+    require_unique_ids((entry["id"] for entry in entries if "id" in entry), manifest_path)
     records = []
-    for entry in manifest.get("patients", []):
+    for entry in entries:
         missing = {"id", "censor", "time", "patch", "region", "parents"} - set(entry)
         if missing:
             raise DataValidationError(
@@ -337,6 +340,18 @@ def write_cohort(records, prompts, out_dir) -> Path:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     return manifest_path
+
+
+def require_unique_ids(ids, source):
+    """Raise DataValidationError naming the first patient id seen twice.
+
+    Per-patient caches are keyed by id, so a repeated id would hand one
+    patient's selections to another."""
+    seen = set()
+    for pid in ids:
+        if pid in seen:
+            raise DataValidationError(f"duplicate patient id {pid!r} in {source}")
+        seen.add(pid)
 
 
 def _require_finite(mat: np.ndarray, path):

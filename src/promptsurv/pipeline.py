@@ -11,6 +11,16 @@ so runs with identical seed, config, and cohort are bit-identical. Folds
 carry fully independent state (parameters, queues, streams) and could run
 in parallel; within a fold, training is sequential because batch size is 1
 and the queue state is order-dependent.
+
+The one thing folds may share is a read-mostly selection memo. Whenever
+alignment reads a raw bag (every patch-level selection, and the region level
+of variants without the gate), its selection depends on the tokens, the
+prompts and the scoring settings only, never on a parameter. Given a memo,
+`cross_validate` solves it once per patient and hands the indices to every
+fold, and `run_ablation` hands one memo to every rung, keyed by the scoring
+settings so a cosine rung never reads a transport selection. Selections are
+deterministic, so a memo hit returns exactly what a fresh solve would. The
+gated region selection reads the gate's output and is solved on every step.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +47,7 @@ from .alignment import (
     select_top,
 )
 from .contrast import MemoryQueue, make_prototype, mutual_contrastive_loss
-from .data import PATCH, REGION, PatientRecord, PromptSet
+from .data import PATCH, REGION, PatientRecord, PromptSet, require_unique_ids
 from .errors import ConfigError, DegenerateInputError, MetricError, TrainingError
 from .fusion import GateParams, gate_fuse, pool_to_regions
 from .metrics import (
@@ -259,6 +270,19 @@ def build_parameters(d: int, cfg: TrainConfig, switches: VariantSwitches,
     return params, head, gate, attn
 
 
+class Selection(NamedTuple):
+    """Kept token indices (ascending, read-only) and the health of the solve
+    that chose them; cosine scoring always reads converged."""
+
+    indices: np.ndarray
+    converged: bool = True
+    residual: float = 0.0
+
+
+# (patient_id, level, Pipeline.scoring_key) -> Selection
+SelectionMemo = dict[tuple, Selection]
+
+
 @dataclass
 class FoldReport:
     """Evaluation summary of one held-out fold."""
@@ -276,10 +300,18 @@ class FoldReport:
 
 
 class Pipeline:
-    """Holds one fold's parameters, queues, and selection caches."""
+    """Holds one fold's parameters, queues, and selection caches.
+
+    `memo` maps (patient_id, level, scoring key) to the selection alignment
+    makes on that patient's raw bag. No parameter reaches those selections,
+    so one memo may serve every fold and every variant run on the same
+    cohort and prompt sets; patient ids must be unique within it. Only the
+    indices are shared: the token node, pooled evidence and prototype built
+    from them stay in this fold's patch cache.
+    """
 
     def __init__(self, prompts: dict[str, PromptSet], d: int, cfg: TrainConfig,
-                 fold: int = 0):
+                 fold: int = 0, *, memo: SelectionMemo | None = None):
         self.cfg = cfg
         self.switches = cfg.switches()
         self.d = d
@@ -294,21 +326,53 @@ class Pipeline:
         self.loss_cfg = LossConfig(lam=cfg.lam)
         self.queue_patch = MemoryQueue(cfg.queue_length)
         self.queue_region = MemoryQueue(cfg.queue_length)
+        self.memo = {} if memo is None else memo
         self._patch_cache: dict[str, tuple] = {}
+        # level -> (selections used from non-converged solves, worst residual)
+        self.unconverged: dict[str, tuple[int, float]] = {}
 
     # -- forward pieces ----------------------------------------------------
 
-    def _score_tokens(self, tokens: np.ndarray, level: str) -> np.ndarray:
+    @property
+    def scoring_key(self) -> tuple:
+        """Everything besides the bag and the prompts that a selection reads."""
+        cfg = self.cfg
+        if self.switches.use_transport:
+            return ("transport", cfg.r, cfg.epsilon, cfg.sinkhorn_tol,
+                    cfg.sinkhorn_max_iters)
+        return ("multi" if self.switches.multi_prompt else "single", cfg.r)
+
+    def _choose(self, tokens: np.ndarray, level: str) -> Selection:
+        """Score tokens against the level's prompts and keep the top r."""
         prompts = self.prompts[level].prompts
         if self.switches.use_transport:
             result = match_bag(tokens, prompts, self.cfg.r,
                                epsilon=self.cfg.epsilon,
                                tol=self.cfg.sinkhorn_tol,
                                max_iters=self.cfg.sinkhorn_max_iters)
-            return result.score
-        if self.switches.multi_prompt:
-            return cosine_scores_multi(tokens, prompts)
-        return cosine_scores_single(tokens, prompts)
+            chosen = Selection(result.selected, result.converged, result.residual)
+        else:
+            scores = (cosine_scores_multi if self.switches.multi_prompt
+                      else cosine_scores_single)(tokens, prompts)
+            chosen = Selection(select_top(scores, self.cfg.r))
+        chosen.indices.setflags(write=False)
+        return chosen
+
+    def _use(self, chosen: Selection, level: str) -> np.ndarray:
+        """Record the health of a selection this fold uses; returns its indices."""
+        if not chosen.converged:
+            count, worst = self.unconverged.get(level, (0, 0.0))
+            self.unconverged[level] = (count + 1, max(worst, chosen.residual))
+        return chosen.indices
+
+    def _select(self, rec: PatientRecord, level: str) -> np.ndarray:
+        """Selection on the patient's raw bag at `level`, solved once per memo."""
+        key = (rec.patient_id, level, self.scoring_key)
+        chosen = self.memo.get(key)
+        if chosen is None:
+            bag = rec.patch_bag if level == PATCH else rec.region_bag
+            chosen = self.memo[key] = self._choose(bag.tokens, level)
+        return self._use(chosen, level)
 
     def _patch_constants(self, rec: PatientRecord) -> tuple:
         """Selected patch indices and token node, their pooling into regions
@@ -316,9 +380,8 @@ class Pipeline:
         reaches them, so they are computed once per patient and cached."""
         cached = self._patch_cache.get(rec.patient_id)
         if cached is None:
-            tokens = rec.patch_bag.tokens
-            idx = select_top(self._score_tokens(tokens, PATCH), self.cfg.r)
-            selected = ad.constant(tokens[idx])
+            idx = self._select(rec, PATCH)
+            selected = ad.constant(rec.patch_bag.tokens[idx])
             pooled = prototype = None
             if self.switches.use_gate:
                 pooled = ad.constant(pool_to_regions(
@@ -328,6 +391,15 @@ class Pipeline:
             cached = (idx, selected, pooled, prototype)
             self._patch_cache[rec.patient_id] = cached
         return cached
+
+    def nonconvergence_flag(self) -> str | None:
+        """One line naming, per level, how many selections this fold used
+        from non-converged Sinkhorn solves and their worst residual."""
+        if not self.unconverged:
+            return None
+        parts = [f"{level} {count} (worst residual {worst:.3g})"
+                 for level, (count, worst) in sorted(self.unconverged.items())]
+        return "selections from non-converged Sinkhorn solves: " + "; ".join(parts)
 
     def forward(self, rec: PatientRecord):
         """Build the hazard graph for one patient.
@@ -348,8 +420,9 @@ class Pipeline:
             region_input = ad.constant(rec.region_bag.tokens)
             if self.switches.use_gate:
                 region_input = gate_fuse(pooled, region_input, self.gate)
-            region_idx = select_top(self._score_tokens(region_input.value, REGION),
-                                    self.cfg.r)
+                region_idx = self._use(self._choose(region_input.value, REGION), REGION)
+            else:
+                region_idx = self._select(rec, REGION)
             selections.append((rec.patient_id, REGION, [int(i) for i in region_idx]))
             region_node = ad.gather_rows(region_input, region_idx)
 
@@ -419,8 +492,11 @@ class Pipeline:
 
 
 def train_fold(records: list[PatientRecord], prompts: dict[str, PromptSet],
-               cfg: TrainConfig, fold: int = 0) -> tuple[Pipeline, list[float]]:
-    """Train one pipeline on the given records; returns (model, loss trace)."""
+               cfg: TrainConfig, fold: int = 0, *,
+               memo: SelectionMemo | None = None) -> tuple[Pipeline, list[float]]:
+    """Train one pipeline on the given records; returns (model, loss trace).
+
+    `memo` is the selection memo shared with other folds (see Pipeline)."""
     if not records:
         raise ConfigError("cannot train on an empty cohort")
     d = records[0].patch_bag.dim
@@ -430,7 +506,7 @@ def train_fold(records: list[PatientRecord], prompts: dict[str, PromptSet],
                 f"patient {rec.patient_id} has channel dim "
                 f"({rec.patch_bag.dim}, {rec.region_bag.dim}), expected {d}"
             )
-    model = Pipeline(prompts, d, cfg, fold)
+    model = Pipeline(prompts, d, cfg, fold, memo=memo)
     trace = model.train(records)
     return model, trace
 
@@ -448,6 +524,9 @@ def evaluate_fold(model: Pipeline, records: list[PatientRecord],
                       rec.time_bin if rec.time_bin is not None else -1))
         riskeds.append(RiskedPatient(risk=risk, time=rec.time, censor=rec.censor))
         selections.extend(sels)
+    unconverged = model.nonconvergence_flag()
+    if unconverged:
+        flags.append(unconverged)
 
     ci = None
     try:
@@ -491,6 +570,7 @@ def split_folds(records: list[PatientRecord], k: int, seed: int) -> list[list[in
         raise ConfigError(f"need k >= 2 folds, got {k}")
     if len(records) < k:
         raise ConfigError(f"cannot split {len(records)} patients into {k} folds")
+    require_unique_ids((r.patient_id for r in records), "the cohort")
     if len(records) < 5 * k:
         warnings.warn(f"only {len(records)} patients for {k} folds; "
                       "fold metrics will be unstable")
@@ -507,15 +587,23 @@ def split_folds(records: list[PatientRecord], k: int, seed: int) -> list[list[in
 
 
 def cross_validate(records: list[PatientRecord], prompts: dict[str, PromptSet],
-                   cfg: TrainConfig, k: int = 5) -> tuple[list[FoldReport], dict]:
-    """k-fold cross-validation; returns per-fold reports and the summary."""
+                   cfg: TrainConfig, k: int = 5, *,
+                   memo: SelectionMemo | None = None) -> tuple[list[FoldReport], dict]:
+    """k-fold cross-validation; returns per-fold reports and the summary.
+
+    Given a `memo` (an empty dict will do), all folds share it, so each
+    patient's raw-bag selections are solved once, not once per fold; the
+    CLI and `run_ablation` pass one. Without it each fold solves its own,
+    as a standalone `train_fold` does. Either way the results are identical.
+    """
     folds = split_folds(records, k, cfg.seed)
     reports = []
     for fold_idx, heldout in enumerate(folds):
         heldout_set = set(heldout)
         train_records = [r for i, r in enumerate(records) if i not in heldout_set]
         eval_records = [records[i] for i in heldout]
-        model, trace = train_fold(train_records, prompts, cfg, fold=fold_idx)
+        model, trace = train_fold(train_records, prompts, cfg, fold=fold_idx,
+                                  memo=memo)
         reports.append(evaluate_fold(model, eval_records, trace, fold_idx))
     return reports, summarize(reports)
 
@@ -544,13 +632,18 @@ def summarize(reports: list[FoldReport]) -> dict:
 def run_ablation(records: list[PatientRecord], prompts: dict[str, PromptSet],
                  cfg: TrainConfig, k: int = 5,
                  variants: str = VARIANTS) -> list[dict]:
-    """Cross-validate every requested variant; returns one row per variant."""
+    """Cross-validate every requested variant; returns one row per variant.
+
+    The rungs share one selection memo: D-G select the same patch tokens,
+    and B and C each keep their own cosine entries under their scoring key.
+    """
     rows = []
+    memo: SelectionMemo = {}
     for variant in variants:
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
         vcfg = replace(cfg, variant=variant, switch_overrides={})
-        _, summary = cross_validate(records, prompts, vcfg, k)
+        _, summary = cross_validate(records, prompts, vcfg, k, memo=memo)
         rows.append({"variant": variant, **summary})
     return rows
 

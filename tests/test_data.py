@@ -166,6 +166,15 @@ class TestCohortIO:
         with pytest.raises(DataValidationError, match="non-finite"):
             load_cohort(manifest)
 
+    def test_duplicate_patient_id_rejected(self, tmp_path):
+        records, prompts, _ = generate_synthetic(small_spec(n_patients=3))
+        manifest = write_cohort(records, prompts, tmp_path)
+        raw = json.loads(manifest.read_text())
+        raw["patients"][2]["id"] = "p0000"
+        manifest.write_text(json.dumps(raw))
+        with pytest.raises(DataValidationError, match="duplicate patient id 'p0000'"):
+            load_cohort(manifest)
+
     def test_prompts_optional_in_manifest(self, tmp_path):
         records, prompts, _ = generate_synthetic(small_spec(n_patients=2))
         manifest = write_cohort(records, prompts, tmp_path)

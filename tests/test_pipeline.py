@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import build_cohort, params_bytes, read_all_bytes
 from promptsurv import autodiff as ad
 from promptsurv import pipeline
 from promptsurv.data import PATCH, REGION
-from promptsurv.errors import ConfigError
+from promptsurv.errors import ConfigError, DataValidationError
 from promptsurv.pipeline import (
     FoldReport,
     TrainConfig,
@@ -276,6 +277,12 @@ class TestSplits:
         with pytest.warns(UserWarning, match="unstable"):
             split_folds(records, 5, seed=0)
 
+    def test_duplicate_patient_ids_rejected(self, small_cohort):
+        records, _, _ = small_cohort
+        twin = replace(records[7], patient_id=records[2].patient_id)
+        with pytest.raises(DataValidationError, match=records[2].patient_id):
+            split_folds(records[:7] + [twin] + records[8:], 4, seed=2)
+
     def test_holdout_split_partition(self, small_cohort):
         records, _, _ = small_cohort
         train, heldout = holdout_split(records, 0.25, seed=3)
@@ -322,13 +329,96 @@ class TestCrossValidation:
 
 class TestAblation:
     def test_table_rows_and_g_matches_direct_run(self, small_cohort):
+        # every rung equals its own cross-validation, so no rung reads another
+        # rung's selections through the shared memo
         records, prompts, _ = small_cohort
         cfg = fast_cfg(epochs=1)
-        rows = run_ablation(records, prompts, cfg, k=3, variants="AG")
-        assert [row["variant"] for row in rows] == ["A", "G"]
-        _, direct = cross_validate(records, prompts, replace(cfg, variant="G"), k=3)
-        g_row = rows[1]
-        assert g_row["mean_ci"] == direct["mean_ci"]
+        rows = run_ablation(records, prompts, cfg, k=3, variants="ABCDEFG")
+        assert [row["variant"] for row in rows] == list("ABCDEFG")
+        for row in rows:
+            _, direct = cross_validate(records, prompts,
+                                       replace(cfg, variant=row["variant"]), k=3)
+            assert row == {"variant": row["variant"], **direct}
+
+
+class TestSelectionMemo:
+    @staticmethod
+    def count_solves(monkeypatch, prompts):
+        """Count match_bag calls per (variant, level, bag) while cross_validate runs."""
+        solves = Counter()
+        running = {"variant": None}
+        match_bag, cv = pipeline.match_bag, pipeline.cross_validate
+
+        def counted_match_bag(tokens, prompt_rows, *args, **kwargs):
+            level = PATCH if prompt_rows is prompts[PATCH].prompts else REGION
+            solves[running["variant"], level, tokens.tobytes()] += 1
+            return match_bag(tokens, prompt_rows, *args, **kwargs)
+
+        def tagged_cv(records, prompt_sets, cfg, *args, **kwargs):
+            running["variant"] = cfg.variant
+            return cv(records, prompt_sets, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "match_bag", counted_match_bag)
+        monkeypatch.setattr(pipeline, "cross_validate", tagged_cv)
+        return solves
+
+    @staticmethod
+    def per_bag(solves, variant, level):
+        return sorted(n for (v, lv, _), n in solves.items() if (v, lv) == (variant, level))
+
+    def test_cv_with_a_memo_solves_each_patch_bag_once(self, small_cohort, monkeypatch):
+        records, prompts, _ = small_cohort
+        solves = self.count_solves(monkeypatch, prompts)
+        cfg = fast_cfg(epochs=1)
+        shared = pipeline.cross_validate(records, prompts, cfg, k=3, memo={})
+        assert self.per_bag(solves, "G", PATCH) == [1] * len(records)
+        # the gated region input changes every step: one solve per step and
+        # per prediction, as without the memo
+        assert sum(self.per_bag(solves, "G", REGION)) == 2 * len(records) + len(records)
+        solves.clear()
+        alone = pipeline.cross_validate(records, prompts, cfg, k=3)
+        # without one, each of the 3 folds solves every patient it trains or scores
+        assert self.per_bag(solves, "G", PATCH) == [3] * len(records)
+        assert shared[1] == alone[1]
+        assert [r.risks for r in shared[0]] == [r.risks for r in alone[0]]
+
+    def test_ablation_solves_each_raw_bag_once_per_cohort(self, small_cohort,
+                                                          monkeypatch):
+        records, prompts, _ = small_cohort
+        solves = self.count_solves(monkeypatch, prompts)
+        run_ablation(records, prompts, fast_cfg(epochs=1), k=3, variants="DEFG")
+        n = len(records)
+        assert self.per_bag(solves, "D", PATCH) == [1] * n
+        for variant in "EFG":
+            assert self.per_bag(solves, variant, PATCH) == [], variant
+        assert self.per_bag(solves, "E", REGION) == [1] * n
+        # F and G select on the gate's output: every training step (each
+        # patient trains in 2 of 3 folds, 1 epoch) and every prediction
+        for variant in "FG":
+            assert sum(self.per_bag(solves, variant, REGION)) == 2 * n + n, variant
+
+    def test_nonconverged_selections_flagged_in_metadata(self, small_cohort, tmp_path):
+        records, prompts, _ = small_cohort
+
+        def fold_flags(cfg, **memo):
+            reports, summary = cross_validate(records, prompts, cfg, k=3, **memo)
+            out = tmp_path / str(len(list(tmp_path.iterdir())))
+            emit_reports(reports, summary, cfg, out)
+            meta = json.loads((out / "metadata.json").read_text())
+            return [[f for f in fold["flags"] if "non-converged" in f]
+                    for fold in meta["folds"]]
+
+        # with a shared memo only the first fold solves, but memo hits count
+        # too: every fold reports each patient it used (16 trained, 8 scored)
+        for variant, memo in (("E", {}), ("G", {"memo": {}})):
+            cfg = fast_cfg(epochs=1, variant=variant, sinkhorn_max_iters=1)
+            for (flag,) in fold_flags(cfg, **memo):
+                assert flag.startswith("selections from non-converged Sinkhorn solves: "
+                                       "patch 24 (worst residual "), flag
+                assert "; region 24 (worst residual " in flag, flag
+        assert fold_flags(fast_cfg(epochs=1)) == [[], [], []]
+        cosine = fast_cfg(epochs=1, variant="C", sinkhorn_max_iters=1)
+        assert fold_flags(cosine) == [[], [], []]
 
 
 class TestReports:
