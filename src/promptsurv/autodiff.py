@@ -12,10 +12,13 @@ one thread; wrapped matrices are treated as immutable and may be shared
 read-only, so independent graphs can run in parallel threads.
 
 The fused operations (`linear`, `lerp`, `cumprod_complement`,
-`l2_normalize_row`) each replace a chain of elementary operations. Each
-performs the same floating-point operations, in the same order, as that
-chain, in its value and in every gradient it accumulates, so the graph is
-bit-identical to the chain's, with fewer nodes.
+`l2_normalize_row`, `contrastive`, `neg_log_entry`) each replace a chain of
+elementary operations. Each performs the same floating-point operations, in
+the same order, as that chain, in its value and in every gradient it
+accumulates, so the graph is bit-identical to the chain's, with fewer nodes.
+A sum of two gradient terms commutes, but where an input receives three or
+more, the fused op accumulates them one at a time in the chain's order. A
+public operation never calls another, so each call builds one node.
 """
 
 from __future__ import annotations
@@ -219,11 +222,7 @@ def tanh(a: Node) -> Node:
 
 
 def exp(a: Node) -> Node:
-    with np.errstate(over="ignore"):
-        value = np.exp(a.value)
-    if not np.all(np.isfinite(value)):
-        idx = np.argwhere(~np.isfinite(value))[0]
-        raise DomainError(f"exp overflow at entry {tuple(int(i) for i in idx)}")
+    value = _checked_exp(a.value)
 
     def backward(g):
         if a.requires_grad:
@@ -233,10 +232,7 @@ def exp(a: Node) -> Node:
 
 
 def log(a: Node) -> Node:
-    if np.any(a.value <= 0.0):
-        idx = np.argwhere(a.value <= 0.0)[0]
-        raise DomainError(f"log of non-positive entry at {tuple(int(i) for i in idx)}")
-    value = np.log(a.value)
+    value = _checked_log(a.value)
 
     def backward(g):
         if a.requires_grad:
@@ -458,6 +454,79 @@ def l2_normalize_row(row: Node) -> Node:
             row.accumulate(inv_norm.T @ g + g_sq * s + g_sq * s)
 
     return _make(value, (row,), backward)
+
+
+def contrastive(anchor: Node, positive: Node, negatives, temperature: float) -> Node:
+    """One direction of the queue-contrastive loss against constant negatives.
+
+    -log(e^{a.p/t} / (e^{a.p/t} + sum_k e^{a.n_k/t})) for 1xD rows a (anchor)
+    and p (positive) and the K rows n_k of `negatives` (KxD), which receive
+    no gradient.
+    """
+    neg_t = as_matrix(np.asarray(negatives).T)  # D x K
+    d = anchor.value.shape[1]
+    if anchor.value.shape != (1, d) or positive.value.shape != (1, d) or neg_t.shape[0] != d:
+        raise ShapeError(f"contrastive shape mismatch: anchor {anchor.value.shape}, "
+                         f"positive {positive.value.shape}, negatives {neg_t.T.shape}")
+    if neg_t.size == 0:
+        raise EmptyInputError("contrastive needs at least one negative")
+    factor = 1.0 / temperature
+    pos_t = np.ascontiguousarray(positive.value.T)  # D x 1
+    pos = factor * (anchor.value @ pos_t)  # 1x1
+    neg = factor * (anchor.value @ neg_t)  # 1xK
+    e_pos = _checked_exp(pos)
+    e_neg = _checked_exp(neg)
+    denom = e_pos + np.array([[e_neg.sum()]])
+    value = _checked_log(denom) + -pos
+
+    def backward(g):
+        g_denom = g / denom
+        g_pos = factor * (-g + g_denom * e_pos)
+        g_neg = factor * (g_denom * e_neg)
+        # the chain's order when a prototype is the positive here and the
+        # anchor of the opposite direction
+        if positive.requires_grad:
+            positive.accumulate((anchor.value.T @ g_pos).T)
+        if anchor.requires_grad:
+            anchor.accumulate(g_neg @ neg_t.T)
+            anchor.accumulate(g_pos @ pos_t.T)
+
+    return _make(value, (anchor, positive), backward)
+
+
+def neg_log_entry(row: Node, col: int, floor: float) -> Node:
+    """-log(max(row[0, col], floor)) as a 1x1 node; no gradient at or below the floor."""
+    if row.value.shape[0] != 1 or not 0 <= col < row.value.shape[1]:
+        raise ShapeError(f"neg_log_entry: column {col} outside a row of shape {row.value.shape}")
+    floor = float(floor)
+    entry = row.value[:, col:col + 1]
+    above = entry > floor
+    clamped = np.maximum(entry, floor)
+    value = -_checked_log(clamped)
+
+    def backward(g):
+        if row.requires_grad:
+            buf = np.zeros_like(row.value)
+            buf[:, col:col + 1] += (-g / clamped) * above
+            row.accumulate(buf)
+
+    return _make(value, (row,), backward)
+
+
+def _checked_exp(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        value = np.exp(x)
+    if not np.all(np.isfinite(value)):
+        idx = np.argwhere(~np.isfinite(value))[0]
+        raise DomainError(f"exp overflow at entry {tuple(int(i) for i in idx)}")
+    return value
+
+
+def _checked_log(x: np.ndarray) -> np.ndarray:
+    if np.any(x <= 0.0):
+        idx = np.argwhere(x <= 0.0)[0]
+        raise DomainError(f"log of non-positive entry at {tuple(int(i) for i in idx)}")
+    return np.log(x)
 
 
 def _require_same_shape(op: str, a: Node, b: Node):

@@ -136,8 +136,7 @@ def _cmd_cv(args) -> int:
     cfg = _resolve_config(args)
     records, prompts = _load_discretized(args.manifest, cfg)
     reports, summary = cross_validate(records, prompts, cfg, k=args.folds, memo={})
-    emit_reports(reports, summary, cfg, args.out,
-                 extra={"mode": "cv", "folds": args.folds})
+    emit_reports(reports, summary, cfg, args.out, extra={"mode": "cv"})
     print(f"{args.folds}-fold CI: {summary['formatted']}")
     return 0
 

@@ -81,19 +81,14 @@ def contrastive_loss(anchor: ad.Node, positive: ad.Node,
                      negatives: np.ndarray, temperature: float = 1.0):
     """One direction of the queue-contrastive loss.
 
-    -log( exp(a.p) / (exp(a.p) + sum_k exp(a.n_k)) ) with raw dot products
-    of unit-norm prototypes. Differentiable w.r.t. anchor and positive only;
-    returns None when there are no negatives (contribution skipped).
+    -log( exp(a.p/t) / (exp(a.p/t) + sum_k exp(a.n_k/t)) ) with raw dot
+    products of unit-norm prototypes. Differentiable w.r.t. anchor and
+    positive only; returns None when there are no negatives (contribution
+    skipped).
     """
     if negatives.size == 0:
         return None
-    pos = ad.matmul(anchor, ad.transpose(positive))  # 1x1
-    neg_dots = ad.matmul(anchor, ad.constant(negatives.T))  # 1xK
-    if temperature != 1.0:
-        pos = ad.scale(pos, 1.0 / temperature)
-        neg_dots = ad.scale(neg_dots, 1.0 / temperature)
-    denom = ad.add(ad.exp(pos), ad.sum_all(ad.exp(neg_dots)))
-    return ad.add(ad.log(denom), ad.neg(pos))
+    return ad.contrastive(anchor, positive, negatives, temperature)
 
 
 def mutual_contrastive_loss(proto_patch: ad.Node, proto_region: ad.Node,

@@ -163,6 +163,10 @@ class TrainConfig:
             raise ConfigError(f"queue_length must be >= 2, got {self.queue_length}")
         if self.lam < 0.0:
             raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        for name in ("lr", "temperature"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
         if self.variant not in VARIANTS:

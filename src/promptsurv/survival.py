@@ -71,10 +71,10 @@ def nll_loss(h: ad.Node, s: ad.Node, censor: int, time_bin: int) -> ad.Node:
     if not 1 <= time_bin <= n_bins:
         raise ConfigError(f"time_bin {time_bin} outside [1, {n_bins}]")
     if censor == 1:
-        return ad.neg(_safe_log(_pick(s, time_bin - 1)))
-    loss = ad.neg(_safe_log(_pick(h, time_bin - 1)))
+        return ad.neg_log_entry(s, time_bin - 1, LOG_CLAMP)
+    loss = ad.neg_log_entry(h, time_bin - 1, LOG_CLAMP)
     if time_bin > 1:
-        loss = ad.add(loss, ad.neg(_safe_log(_pick(s, time_bin - 2))))
+        loss = ad.add(loss, ad.neg_log_entry(s, time_bin - 2, LOG_CLAMP))
     return loss
 
 
@@ -89,12 +89,3 @@ def total_loss(l_sur: ad.Node, l_con: ad.Node | None, cfg: LossConfig) -> ad.Nod
     if l_con is None or cfg.lam == 0.0:
         return l_sur
     return ad.add(l_sur, ad.scale(l_con, cfg.lam))
-
-
-def _pick(row: ad.Node, col: int) -> ad.Node:
-    """Extract one entry of a 1xT row as a 1x1 node."""
-    return ad.gather_rows(ad.transpose(row), [col])
-
-
-def _safe_log(x: ad.Node) -> ad.Node:
-    return ad.log(ad.clamp_min(x, LOG_CLAMP))

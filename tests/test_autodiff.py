@@ -368,6 +368,26 @@ def l2_normalize_row_chain(row):
     return ad.matmul(ad.exp(ad.scale(ad.log(sq_norm), -0.5)), row)
 
 
+def contrastive_chain(anchor, positive, negatives, temperature):
+    pos = ad.matmul(anchor, ad.transpose(positive))
+    neg_dots = ad.matmul(anchor, ad.constant(negatives.T))
+    if temperature != 1.0:
+        pos = ad.scale(pos, 1.0 / temperature)
+        neg_dots = ad.scale(neg_dots, 1.0 / temperature)
+    denom = ad.add(ad.exp(pos), ad.sum_all(ad.exp(neg_dots)))
+    return ad.add(ad.log(denom), ad.neg(pos))
+
+
+def neg_log_entry_chain(row, col, floor):
+    entry = ad.gather_rows(ad.transpose(row), [col])
+    return ad.neg(ad.log(ad.clamp_min(entry, floor)))
+
+
+def unit_rows(rng, rows, d):
+    v = rng.normal(size=(rows, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 class TestFusedOps:
     @pytest.mark.parametrize("seed", range(5))
     def test_linear_is_bit_identical_to_its_chain(self, seed):
@@ -451,3 +471,82 @@ class TestFusedOps:
     def test_l2_normalize_row_rejects_a_zero_row(self):
         with pytest.raises(DegenerateInputError):
             ad.l2_normalize_row(ad.constant(np.zeros((1, 3))))
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.3, 0.07])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_contrastive_is_bit_identical_to_its_chain(self, seed, temperature):
+        rng = np.random.default_rng(seed)
+        d, k = (int(v) for v in rng.integers(1, 20, size=2))
+        negatives = unit_rows(rng, k, d)
+        fused, chain = twin_parameters(unit_rows(rng, 1, d), unit_rows(rng, 1, d))
+        assert_bit_identical(ad.contrastive(*fused, negatives, temperature),
+                             contrastive_chain(*chain, negatives, temperature),
+                             rng.normal(size=(1, 1)), fused, chain)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.3, 0.07])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mutual_loss_over_two_parameters_is_bit_identical(self, seed, temperature):
+        # each prototype is the anchor of one direction and the positive of the
+        # other, so its gradient sums three terms in the chain's order
+        rng = np.random.default_rng(100 + seed)
+        d = int(rng.integers(2, 20))
+        neg_region, neg_patch = unit_rows(rng, 5, d), unit_rows(rng, 3, d)
+
+        def mutual(op, patch, region):
+            return ad.add(op(patch, region, neg_region, temperature),
+                          op(region, patch, neg_patch, temperature))
+
+        fused, chain = twin_parameters(unit_rows(rng, 1, d), unit_rows(rng, 1, d))
+        assert_bit_identical(mutual(ad.contrastive, *fused),
+                             mutual(contrastive_chain, *chain),
+                             rng.normal(size=(1, 1)), fused, chain)
+
+    def test_contrastive_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(24)
+        params = [ad.parameter(v) for v in (unit_rows(rng, 1, 6), unit_rows(rng, 1, 6))]
+        negatives = unit_rows(rng, 4, 6)
+        assert ad.grad_check(lambda p: ad.contrastive(*p, negatives, 0.5),
+                             params, h=1e-5) <= 1e-6
+
+    @pytest.mark.parametrize("op", [ad.contrastive, contrastive_chain])
+    def test_contrastive_domain_errors_match_the_chain(self, op):
+        anchor, positive = ad.parameter([[30.0, 0.0]]), ad.parameter([[30.0, 0.0]])
+        with pytest.raises(DomainError, match="exp overflow"):
+            op(anchor, positive, np.array([[1.0, 0.0]]), 1.0)
+        # every exponential underflows to 0 at a tiny temperature
+        anchor, positive = ad.parameter([[1.0, 0.0]]), ad.parameter([[-1.0, 0.0]])
+        with pytest.raises(DomainError, match="non-positive"):
+            op(anchor, positive, np.array([[-1.0, 0.0]]), 1e-3)
+
+    def test_contrastive_rejects_mismatched_or_missing_negatives(self):
+        anchor, positive = ad.parameter(np.ones((1, 3))), ad.parameter(np.ones((1, 3)))
+        with pytest.raises(ShapeError, match=r"\(2, 4\)"):
+            ad.contrastive(anchor, positive, np.ones((2, 4)), 1.0)
+        with pytest.raises(EmptyInputError):
+            ad.contrastive(anchor, positive, np.zeros((0, 3)), 1.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_neg_log_entry_is_bit_identical_to_its_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        t = int(rng.integers(1, 8))
+        values = rng.uniform(size=(1, t))
+        values[rng.uniform(size=(1, t)) < 0.3] = 1e-20  # below the floor
+        for col in range(t):
+            fused, chain = twin_parameters(values)
+            assert_bit_identical(ad.neg_log_entry(*fused, col, 1e-12),
+                                 neg_log_entry_chain(*chain, col, 1e-12),
+                                 rng.normal(size=(1, 1)), fused, chain)
+
+    def test_neg_log_entry_gradients_match_finite_differences(self):
+        row = ad.parameter(np.random.default_rng(25).uniform(0.1, 0.9, size=(1, 4)))
+        for col in range(4):
+            assert ad.grad_check(lambda p: ad.neg_log_entry(p[0], col, 1e-12),
+                                 [row], h=1e-5) <= 1e-6
+
+    def test_neg_log_entry_has_no_gradient_at_or_below_the_floor(self):
+        for col in (0, 1):
+            row = ad.parameter([[1e-20, 1e-12, 0.5]])
+            out = ad.neg_log_entry(row, col, 1e-12)
+            assert out.value[0, 0] == -np.log(1e-12)
+            out.backward()
+            assert np.array_equal(row.grad, np.zeros((1, 3)))

@@ -99,6 +99,23 @@ class TestTrainAndCv:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["config"]["switches"]["use_contrast"] is True
 
+    def test_cv_metadata_keeps_per_fold_records(self, cohort_dir, tmp_path):
+        out = tmp_path / "out"
+        code = run(["cv", "--manifest", cohort_dir / "manifest.json",
+                    "--out", out, "--folds", 3, "--epochs", 1, "--n-bins", 3,
+                    "--sinkhorn-max-iters", 1])
+        assert code == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["mode"] == "cv"
+        assert [fold["fold"] for fold in meta["folds"]] == [0, 1, 2]
+        for fold in meta["folds"]:
+            assert any(flag.startswith("selections from non-converged Sinkhorn solves")
+                       for flag in fold["flags"])
+
+    def test_zero_temperature_exit_code(self, cohort_dir, tmp_path):
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json",
+                    "--out", tmp_path / "o", "--temperature", 0]) == 2
+
     def test_missing_manifest_exit_code(self, tmp_path):
         assert run(["cv", "--manifest", tmp_path / "nope.json",
                     "--out", tmp_path / "o"]) == 3
