@@ -1,10 +1,18 @@
 """Prompt-to-token alignment via entropic optimal transport.
 
 Tokens are matched to a prompt set by solving an entropy-regularized
-transport problem on the cosine-distance cost matrix with a log-domain
-Sinkhorn solver. The transport plan is converted column-wise into matching
+transport problem on the cosine-distance cost matrix with Sinkhorn's matrix
+scaling. The transport plan is converted column-wise into matching
 probabilities, summed over the prompt dimension into a per-token alignment
 score, and the top-scoring fraction of tokens is kept.
+
+The solver scales the kernel exp(-cost/epsilon) and returns a plan whose row
+sums are exact to rounding. That matters because a token's score depends on
+its row sum at first order: at an exact plan every row sum is 1/M and only
+the much smaller second-order terms rank the tokens, so a row error the size
+of the solver tolerance would decide the selection on large bags. Where the
+kernel underflows (small epsilon) the same iterations run on log-domain
+potentials.
 
 Scoring is a hard, non-differentiated mechanism: gradients never propagate
 through the solver or the scores, only through the values of the selected
@@ -23,6 +31,10 @@ from .errors import ConfigError, DegenerateInputError, ShapeError
 SINKHORN_EPSILON = 0.1
 SINKHORN_TOL = 1e-6
 SINKHORN_MAX_ITERS = 1000
+# Smallest kernel entry the scaling loop accepts. Above it every entry of
+# exp(-C/epsilon) is a normal float with range to spare for the scalings;
+# below it the log-domain loop runs.
+KERNEL_FLOOR = 1e-150
 
 
 @dataclass
@@ -55,8 +67,10 @@ class TransportProblem:
         if not np.all(np.isfinite(self.cost)) or \
                 np.any(self.cost < -1e-12) or np.any(self.cost > 2.0 + 1e-12):
             raise ConfigError("cost entries must be finite and in [0, 2]")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 
     @classmethod
     def uniform(cls, cost: np.ndarray, epsilon: float = SINKHORN_EPSILON,
@@ -101,46 +115,68 @@ def cosine_cost(tokens: np.ndarray, prompts: np.ndarray) -> np.ndarray:
 
 
 def sinkhorn(problem: TransportProblem) -> SinkhornResult:
-    """Log-domain Sinkhorn iterations for the entropic transport problem.
+    """Sinkhorn iterations for the entropic transport problem, ending row-exact.
 
-    Alternates potential updates until the worst marginal residual drops
-    to tol or max_iters is reached; a non-converged result is returned
-    flagged rather than raised.
+    Each iteration sets the row scaling, so the plan a·K·b meets the row
+    marginal to rounding, then stops if that plan's worst column error is at
+    most tol, and otherwise sets the column scaling. The returned plan is
+    therefore always row-exact: its row sums, which enter the alignment
+    score at first order, carry no solver error, and the column error that
+    remains is bounded by tol. `residual` is the worse marginal error of the
+    returned plan; a non-converged result is returned flagged, not raised.
+
+    The scalings a and b act on the kernel K = exp(-C/epsilon): two
+    matrix-vector products per iteration and no logarithms. For costs in
+    [0, 2] at the default epsilon 0.1, K >= e^-20, so nothing can underflow.
+    Where the kernel does underflow (an entry below `KERNEL_FLOOR`, as at
+    small epsilon), the same iterations run on log-domain potentials.
     """
-    cost, u, v, eps = problem.cost, problem.u, problem.v, problem.epsilon
-    m, n = cost.shape
-    # log marginals; zero-mass bins never receive plan mass
-    with np.errstate(divide="ignore"):
-        log_u = np.where(u > 0.0, np.log(np.maximum(u, 1e-300)), -np.inf)
-        log_v = np.where(v > 0.0, np.log(np.maximum(v, 1e-300)), -np.inf)
-    f = np.zeros(m)
-    g = np.zeros(n)
-    neg_cost = -cost / eps
-
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, problem.max_iters + 1):
-        f = eps * (log_u - _logsumexp(neg_cost + g[None, :] / eps, axis=1))
-        g = eps * (log_v - _logsumexp(neg_cost + f[:, None] / eps, axis=0))
-        plan = _plan_from_potentials(neg_cost, f, g, eps)
-        residual = max(
-            np.abs(plan.sum(axis=1) - u).max(),
-            np.abs(plan.sum(axis=0) - v).max(),
-        )
-        if residual <= problem.tol:
-            break
-    plan = _plan_from_potentials(neg_cost, f, g, eps)
+    kernel = np.exp(problem.cost / -problem.epsilon)
+    if kernel.min() < KERNEL_FLOOR:
+        plan, iterations = _sinkhorn_log(problem)
+    else:
+        plan, iterations = _sinkhorn_scaling(problem, kernel)
+    residual = max(np.abs(plan.sum(axis=1) - problem.u).max(),
+                   np.abs(plan.sum(axis=0) - problem.v).max())
     return SinkhornResult(
         plan=plan,
-        cost_value=float((plan * cost).sum()),
-        converged=residual <= problem.tol,
+        cost_value=float((plan * problem.cost).sum()),
+        converged=bool(residual <= problem.tol),
         residual=float(residual),
         iterations=iterations,
     )
 
 
-def _plan_from_potentials(neg_cost, f, g, eps):
-    return np.exp(neg_cost + f[:, None] / eps + g[None, :] / eps)
+def _sinkhorn_scaling(problem: TransportProblem, kernel: np.ndarray):
+    u, v, tol, last = problem.u, problem.v, problem.tol, problem.max_iters
+    kernel_t = kernel.T
+    b = np.ones(kernel.shape[1])
+    for iterations in range(1, last + 1):
+        a = u / (kernel @ b)
+        col_mass = kernel_t @ a   # column sums of the plan are b * col_mass
+        if iterations == last or np.abs(b * col_mass - v).max() <= tol:
+            break
+        b = v / col_mass
+    return a[:, None] * kernel * b, iterations
+
+
+def _sinkhorn_log(problem: TransportProblem):
+    """The scaling loop on potentials f = eps·log a and g = eps·log b."""
+    u, v, eps = problem.u, problem.v, problem.epsilon
+    tol, last = problem.tol, problem.max_iters
+    # log marginals; zero-mass bins never receive plan mass
+    with np.errstate(divide="ignore"):
+        log_u = np.where(u > 0.0, np.log(np.maximum(u, 1e-300)), -np.inf)
+        log_v = np.where(v > 0.0, np.log(np.maximum(v, 1e-300)), -np.inf)
+    neg_cost = problem.cost / -eps
+    g = np.zeros(neg_cost.shape[1])
+    for iterations in range(1, last + 1):
+        f = eps * (log_u - _logsumexp(neg_cost + g / eps, axis=1))
+        log_col_mass = _logsumexp(neg_cost + f[:, None] / eps, axis=0)
+        if iterations == last or np.abs(np.exp(g / eps + log_col_mass) - v).max() <= tol:
+            break
+        g = eps * (log_v - log_col_mass)
+    return np.exp(neg_cost + f[:, None] / eps + g / eps), iterations
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

@@ -178,14 +178,6 @@ def mul(a: Node, b: Node) -> Node:
     return _make(value, (a, b), backward)
 
 
-def neg(a: Node) -> Node:
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(-g)
-
-    return _make(-a.value, (a,), backward)
-
-
 def scale(a: Node, factor: float) -> Node:
     factor = float(factor)
 
@@ -221,65 +213,8 @@ def tanh(a: Node) -> Node:
     return _make(value, (a,), backward)
 
 
-def exp(a: Node) -> Node:
-    value = _checked_exp(a.value)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * value)
-
-    return _make(value, (a,), backward)
-
-
-def log(a: Node) -> Node:
-    value = _checked_log(a.value)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g / a.value)
-
-    return _make(value, (a,), backward)
-
-
-def clamp_min(a: Node, floor: float) -> Node:
-    """Entrywise max(x, floor); gradient passes only where x > floor."""
-    floor = float(floor)
-    mask = a.value > floor
-    value = np.maximum(a.value, floor)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * mask)
-
-    return _make(value, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions
-
-
-def sum_all(a: Node) -> Node:
-    """Total of all entries as a 1x1 matrix."""
-    _require_nonempty("sum_all", a)
-    value = np.array([[a.value.sum()]])
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.full_like(a.value, g[0, 0]))
-
-    return _make(value, (a,), backward)
-
-
-def sum_rows(a: Node) -> Node:
-    """Per-row totals: MxN -> Mx1 column."""
-    _require_nonempty("sum_rows", a)
-    value = a.value.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.broadcast_to(g, a.value.shape).copy())
-
-    return _make(value, (a,), backward)
 
 
 def sum_cols(a: Node) -> Node:

@@ -131,6 +131,14 @@ class VariantSwitches:
         }
 
 
+# JSON values accepted for each TrainConfig field type; an int may stand
+# for a float
+_JSON_TYPES = {
+    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+    "dict": (dict,), "int | None": (int, type(None)),
+}
+
+
 @dataclass
 class TrainConfig:
     """Run configuration; defaults are the cited training settings."""
@@ -163,10 +171,13 @@ class TrainConfig:
             raise ConfigError(f"queue_length must be >= 2, got {self.queue_length}")
         if self.lam < 0.0:
             raise ConfigError(f"lam must be >= 0, got {self.lam}")
-        for name in ("lr", "temperature"):
+        for name in ("lr", "temperature", "epsilon", "sinkhorn_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if self.sinkhorn_max_iters < 1:
+            raise ConfigError(
+                f"sinkhorn_max_iters must be >= 1, got {self.sinkhorn_max_iters}")
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
         if self.variant not in VARIANTS:
@@ -208,10 +219,22 @@ class TrainConfig:
     def from_file(cls, path) -> "TrainConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        fields = cls.__dataclass_fields__
+        bad = set(raw) - set(fields)
         if bad:
             raise ConfigError(f"unknown config fields in {path}: {sorted(bad)}")
+        for name, value in raw.items():
+            kind = fields[name].type
+            allowed = _JSON_TYPES[kind]
+            # bool is an int subclass in Python, so it is rejected explicitly
+            if not isinstance(value, allowed) or (
+                    isinstance(value, bool) and bool not in allowed):
+                raise ConfigError(
+                    f"config field {name} in {path} must be {kind}, got {value!r}")
+            if kind == "float":
+                raw[name] = float(value)
         return cls(**raw)
 
 

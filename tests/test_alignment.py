@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
 from promptsurv.alignment import (
     MatchingResult,
@@ -36,6 +37,26 @@ def lp_transport_cost(cost, u, v):
                   bounds=(0, None), method="highs")
     assert res.success
     return float(res.fun)
+
+
+def log_domain_reference_plan(cost, epsilon=0.1, tol=1e-13):
+    """Uniform-marginal plan from log-domain Sinkhorn, both marginals <= tol.
+
+    An independent loop (scipy's logsumexp, both marginals checked on the
+    plan after each row update), run far below the library's tolerance.
+    """
+    m, n = cost.shape
+    log_u, log_v = np.full(m, -np.log(m)), np.full(n, -np.log(n))
+    neg_cost = -cost / epsilon
+    g = np.zeros(n)
+    for _ in range(100_000):
+        f = epsilon * (log_u - logsumexp(neg_cost + g / epsilon, axis=1))
+        plan = np.exp(neg_cost + (f[:, None] + g) / epsilon)
+        if max(np.abs(plan.sum(axis=1) - 1.0 / m).max(),
+               np.abs(plan.sum(axis=0) - 1.0 / n).max()) <= tol:
+            return plan
+        g = epsilon * (log_v - logsumexp(neg_cost + f[:, None] / epsilon, axis=0))
+    raise AssertionError("reference Sinkhorn did not reach its tolerance")
 
 
 class TestCostMatrix:
@@ -111,6 +132,57 @@ class TestSinkhorn:
         assert not res.converged
         assert res.residual > 1e-14
         assert res.iterations == 1
+
+    def test_residual_is_worst_marginal_error_of_returned_plan(self):
+        rng = np.random.default_rng(21)
+        problems = [TransportProblem(cost=rng.uniform(0.0, 2.0, size=(m, n)),
+                                     u=rng.dirichlet(np.ones(m)),
+                                     v=rng.dirichlet(np.ones(n)), epsilon=eps,
+                                     max_iters=iters)
+                    for m, n in [(3, 5), (8, 8), (128, 8)]
+                    for eps in (0.1, 1e-3) for iters in (1, 3, 1000)]
+        for problem in problems:
+            res = sinkhorn(problem)
+            assert res.residual == max(np.abs(res.plan.sum(axis=1) - problem.u).max(),
+                                       np.abs(res.plan.sum(axis=0) - problem.v).max())
+            assert res.converged == (res.residual <= problem.tol)
+
+    def test_returned_plan_is_row_exact(self):
+        rng = np.random.default_rng(22)
+        for m, eps in [(8, 0.1), (128, 0.1), (2048, 0.1), (8, 1e-3)]:
+            u = rng.dirichlet(np.ones(m))
+            res = sinkhorn(TransportProblem(cost=rng.uniform(0.0, 2.0, size=(m, 8)),
+                                            u=u, v=np.full(8, 0.125), epsilon=eps,
+                                            max_iters=2))
+            assert np.abs(res.plan.sum(axis=1) - u).max() <= 1e-12
+
+    def test_log_domain_path_converges_where_kernel_underflows(self):
+        cost = np.array([[0.1, 1.7], [1.2, 0.3]])
+        assert np.exp(-cost / 1e-3).min() == 0.0
+        u, v = np.array([0.9, 0.1]), np.array([0.2, 0.8])
+        res = sinkhorn(TransportProblem(cost=cost, u=u, v=v, epsilon=1e-3,
+                                        max_iters=10_000, tol=1e-6))
+        assert res.converged
+        assert np.abs(res.plan.sum(axis=1) - u).max() <= 1e-6
+        assert np.abs(res.plan.sum(axis=0) - v).max() <= 1e-6
+        assert res.cost_value == pytest.approx(lp_transport_cost(cost, u, v), abs=1e-3)
+
+    @pytest.mark.parametrize("m", [8, 128])
+    def test_selections_match_log_domain_reference(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            tokens, prompts = rng.normal(size=(m, 16)), rng.normal(size=(8, 16))
+            reference = log_domain_reference_plan(cosine_cost(tokens, prompts))
+            expected = select_top(alignment_score(matching_probability(reference)), 0.6)
+            assert np.array_equal(match_bag(tokens, prompts, r=0.6).selected, expected)
+
+    @pytest.mark.parametrize("settings", [
+        {"epsilon": float("nan")}, {"epsilon": float("inf")},
+        {"max_iters": 0}, {"max_iters": -1},
+    ])
+    def test_solver_settings_validated(self, settings):
+        with pytest.raises(ConfigError, match=next(iter(settings))):
+            TransportProblem.uniform(np.zeros((2, 2)), **settings)
 
     def test_marginal_validation(self):
         with pytest.raises(ConfigError):
@@ -195,6 +267,17 @@ class TestPlantedSignalRecovery:
             assert result.converged
             expected = np.flatnonzero(truth.patch_signal[i])
             assert np.array_equal(result.selected, expected)
+
+    @pytest.mark.parametrize("patches_per_region", [256, 1024])
+    def test_large_bags_select_planted_mask_at_default_tol(self, patches_per_region):
+        spec = SynthSpec(n_patients=12, patches_per_region=patches_per_region,
+                         noise_sigma=0.0, censor_rate=0.0, seed=3)
+        records, prompts, truth = generate_synthetic(spec)
+        for i, rec in enumerate(records):
+            result = match_bag(rec.patch_bag.tokens, prompts[PATCH].prompts,
+                               r=spec.signal_fraction)
+            assert result.converged
+            assert np.array_equal(result.selected, np.flatnonzero(truth.patch_signal[i]))
 
     def test_match_bag_invariants(self):
         spec = SynthSpec(n_patients=2, seed=3)

@@ -116,6 +116,30 @@ class TestTrainAndCv:
         assert run(["cv", "--manifest", cohort_dir / "manifest.json",
                     "--out", tmp_path / "o", "--temperature", 0]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", "fast"), ("epochs", 1.5), ("epochs", True), ("lam", False),
+        ("variant", 7), ("attention_dim", 2.0), ("switch_overrides", [1]),
+    ])
+    def test_config_file_field_of_wrong_type_exit_code(self, cohort_dir, tmp_path,
+                                                        capsys, field, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json",
+                    "--out", tmp_path / "o", "--config", cfg_path]) == 2
+        assert f"config field {field} " in capsys.readouterr().err
+
+    def test_config_file_int_for_float_field(self, cohort_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "n_bins": 3, "lam": 1,
+                                        "attention_dim": None}))
+        out = tmp_path / "out"
+        code = run(["cv", "--manifest", cohort_dir / "manifest.json",
+                    "--out", out, "--folds", 3, "--config", cfg_path])
+        assert code == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["config"]["lambda"] == 1.0
+        assert isinstance(meta["config"]["lambda"], float)
+
     def test_missing_manifest_exit_code(self, tmp_path):
         assert run(["cv", "--manifest", tmp_path / "nope.json",
                     "--out", tmp_path / "o"]) == 3

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from promptsurv import autodiff as ad
+import ad_chain as ad
 from promptsurv.contrast import (
     MemoryQueue,
     Prototype,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promptsurv import autodiff as ad
+import ad_chain as ad
 from promptsurv.errors import DataValidationError, ShapeError
 from promptsurv.fusion import GateParams, gate_fuse, linear, pool_to_regions
 

@@ -82,11 +82,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["epsilon", "sinkhorn_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_solver_epsilon_and_tol_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_solver_needs_at_least_one_iteration(self, value):
+        with pytest.raises(ConfigError, match="sinkhorn_max_iters"):
+            TrainConfig(sinkhorn_max_iters=value)
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"epochs": 3, "lam": 0.5, "variant": "E"}))
         cfg = TrainConfig.from_file(path)
         assert (cfg.epochs, cfg.lam, cfg.variant) == (3, 0.5, "E")
+
+    @pytest.mark.parametrize("text", ["5", "null", "[\"lr\"]"])
+    def test_config_file_must_hold_an_object(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            TrainConfig.from_file(path)
 
     def test_unknown_config_field(self, tmp_path):
         path = tmp_path / "cfg.json"
