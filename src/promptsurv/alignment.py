@@ -61,11 +61,11 @@ class TransportProblem:
             raise ShapeError(
                 f"marginals ({self.u.shape}, {self.v.shape}) do not match cost {self.cost.shape}"
             )
+        # written so that NaN fails each comparison and ±inf falls out of range
         for name, marg in (("u", self.u), ("v", self.v)):
-            if np.any(marg < 0.0) or not np.isclose(marg.sum(), 1.0, atol=1e-9):
+            if not (marg.size and marg.min() >= 0.0 and abs(marg.sum() - 1.0) <= 1e-9):
                 raise ConfigError(f"marginal {name} must be nonnegative and sum to 1")
-        if not np.all(np.isfinite(self.cost)) or \
-                np.any(self.cost < -1e-12) or np.any(self.cost > 2.0 + 1e-12):
+        if not (self.cost.min() >= -1e-12 and self.cost.max() <= 2.0 + 1e-12):
             raise ConfigError("cost entries must be finite and in [0, 2]")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: synth, train, cv, ablate, km-export. Training flags mirror the
-TrainConfig fields; a JSON config file may set any field and explicit flags
+Subcommands: synth, train, cv, ablate, km-export. Training takes one flag per
+TrainConfig field; a JSON config file may set any field and explicit flags
 override it. Exit codes identify the error class:
 
   0 success        2 configuration     3 data validation
@@ -14,13 +14,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .data import (
+    JSON_TYPES,
     SynthSpec,
     discretize_times,
+    field_kinds,
     generate_synthetic,
     load_cohort,
     write_cohort,
@@ -46,6 +49,7 @@ from .pipeline import (
     run_ablation,
     summarize,
     train_fold,
+    write_csv,
 )
 
 _EXIT_CODES = (
@@ -57,22 +61,16 @@ _EXIT_CODES = (
     (OSError, 7),
 )
 
-_CONFIG_FLAGS = [
-    ("epochs", int), ("lr", float), ("batch_size", int), ("r", float),
-    ("queue_length", int), ("lam", float), ("n_bins", int),
-    ("epsilon", float), ("sinkhorn_tol", float), ("sinkhorn_max_iters", int),
-    ("seed", int), ("variant", str), ("attention_dim", int),
-    ("temperature", float),
-]
-
 
 def _add_config_flags(parser: argparse.ArgumentParser):
+    """One flag per TrainConfig field; the dict of switch overrides is --switch."""
     parser.add_argument("--config", help="JSON file with TrainConfig fields")
-    for name, typ in _CONFIG_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ,
-                            dest=name, default=None)
-    parser.add_argument("--reset-queues-per-epoch", dest="reset_queues_per_epoch",
-                        action=argparse.BooleanOptionalAction, default=None)
+    for name, kind in field_kinds(TrainConfig).items():
+        flag = f"--{name.replace('_', '-')}"
+        if kind == "bool":
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+        elif kind != "dict":
+            parser.add_argument(flag, type=JSON_TYPES[kind][0], default=None)
     parser.add_argument("--switch", action="append", default=[],
                         metavar="NAME=BOOL",
                         help="override one variant switch, e.g. use_contrast=true")
@@ -80,13 +78,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 def _resolve_config(args) -> TrainConfig:
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    updates = {}
-    for name, _ in _CONFIG_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    if args.reset_queues_per_epoch is not None:
-        updates["reset_queues_per_epoch"] = args.reset_queues_per_epoch
+    updates = {name: value for name in field_kinds(TrainConfig)
+               if (value := vars(args).get(name)) is not None}
     overrides = dict(cfg.switch_overrides)
     for item in args.switch:
         if "=" not in item:
@@ -158,15 +151,10 @@ def _cmd_km_export(args) -> int:
     low, high = stratify_median(patients)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    km_path = out_dir / "km.csv"
-    with open(km_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stratum", "time", "survival", "at_risk", "events"])
-        for stratum, group in (("low", low), ("high", high)):
-            if not group:
-                continue
-            for time, surv, n, d in kaplan_meier(group).points():
-                writer.writerow([stratum, repr(time), repr(surv), n, d])
+    write_csv(out_dir / "km.csv", ["stratum", "time", "survival", "at_risk", "events"],
+              ([stratum, repr(time), repr(surv), n, d]
+               for stratum, group in (("low", low), ("high", high)) if group
+               for time, surv, n, d in kaplan_meier(group).points()))
     chi2, p_value = logrank_test(low, high)
     stats_path = out_dir / "logrank.json"
     with open(stats_path, "w", encoding="utf-8") as fh:
@@ -182,20 +170,27 @@ def _read_risk_csv(path) -> list[RiskedPatient]:
     if not path.is_file():
         raise DataValidationError(f"missing risk file: {path}")
     patients = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"risk", "time", "censor"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DataValidationError(
-                f"{path} must have columns risk,time,censor "
-                f"(got {reader.fieldnames})"
-            )
-        for row in reader:
-            patients.append(RiskedPatient(
-                risk=float(row["risk"]),
-                time=float(row["time"]),
-                censor=int(row["censor"]),
-            ))
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            required = {"risk", "time", "censor"}
+            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+                raise DataValidationError(
+                    f"{path} must have columns risk,time,censor "
+                    f"(got {reader.fieldnames})"
+                )
+            for row in reader:
+                try:
+                    risk, time = float(row["risk"]), float(row["time"])
+                    if not (math.isfinite(risk) and math.isfinite(time)):
+                        raise ValueError(f"risk and time must be finite, got {risk}, {time}")
+                    patients.append(RiskedPatient(risk=risk, time=time,
+                                                  censor=int(row["censor"])))
+                except (TypeError, ValueError) as exc:
+                    raise DataValidationError(
+                        f"{path} line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path} is not UTF-8 text: {exc}") from exc
     if not patients:
         raise DataValidationError(f"{path} lists no patients")
     return patients

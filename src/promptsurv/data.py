@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -152,13 +152,7 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = set(cls.__dataclass_fields__)
-        bad = set(raw) - known
-        if bad:
-            raise ConfigError(f"unknown SynthSpec fields in {path}: {sorted(bad)}")
-        return cls(**raw)
+        return read_settings(cls, path, "SynthSpec")
 
 
 @dataclass
@@ -170,6 +164,71 @@ class SynthTruth:
     region_signal: np.ndarray         # (n, M_R) bool mask of signal regions
     region_components: np.ndarray     # (n, M_R, d) additive region components
     event_times: np.ndarray           # (n,) uncensored event times
+
+
+# ---------------------------------------------------------------------------
+# typed JSON fields
+
+# JSON values accepted for each field kind (a dataclass annotation string);
+# an int may stand for a float. The first type of a kind parses its
+# command-line flag.
+JSON_TYPES = {
+    "int": (int,), "float": (float, int), "str": (str,), "bool": (bool,),
+    "dict": (dict,), "list": (list,), "int | None": (int, type(None)),
+    "str | None": (str, type(None)),
+}
+
+
+def field_kinds(cls) -> dict[str, str]:
+    """Map each field of a dataclass to its kind, the annotation string."""
+    return {f.name: f.type for f in fields(cls)}
+
+
+def read_json(path, error):
+    """Parse a JSON file; a file that is not UTF-8 JSON raises `error` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a syntax error or a non-UTF-8 byte
+            raise error(f"{path} is not valid JSON: {exc}") from exc
+
+
+def read_settings(cls, path, what: str):
+    """Build the dataclass `cls` from a JSON settings file; an unknown field or
+    a value of the wrong JSON type raises ConfigError."""
+    return cls(**check_json_fields(read_json(path, ConfigError), field_kinds(cls),
+                                   what, path, ConfigError))
+
+
+def check_json_fields(raw, kinds: dict[str, str], what: str, where, error,
+                      ignore_unknown: bool = False) -> dict:
+    """Check a parsed JSON object key by key against `kinds`.
+
+    Returns the known keys, with float fields converted to float. Raises
+    `error`, naming `what` and `where`, when `raw` is not an object, holds a
+    value of the wrong JSON type, or holds a key outside `kinds` (unless
+    `ignore_unknown`). Missing keys are left to the caller.
+    """
+    if not isinstance(raw, dict):
+        raise error(f"{what} in {where} must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - set(kinds)
+    if unknown and not ignore_unknown:
+        raise error(f"unknown {what} fields in {where}: {sorted(unknown)}")
+    checked = {}
+    for name, value in raw.items():
+        if name in unknown:
+            continue
+        kind = kinds[name]
+        allowed = JSON_TYPES[kind]
+        # bool is an int subclass in Python, so it is rejected explicitly
+        if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed):
+            raise error(f"{what} field {name} in {where} must be {kind}, got {value!r}")
+        try:
+            checked[name] = float(value) if kind == "float" else value
+        except OverflowError as exc:
+            raise error(f"{what} field {name} in {where} is out of float range") from exc
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +273,10 @@ def read_parent_map(path) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise DataValidationError(f"missing parent map: {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
     try:
-        return np.array([int(ln) for ln in lines], dtype=np.int64)
-    except ValueError as exc:
+        with open(path, "r", encoding="ascii") as fh:
+            return np.array([int(ln) for ln in fh if ln.strip()], dtype=np.int64)
+    except ValueError as exc:  # a non-integer line or a non-ASCII byte
         raise DataValidationError(f"non-integer entry in parent map {path}") from exc
 
 
@@ -226,70 +284,73 @@ def read_parent_map(path) -> np.ndarray:
 # manifest load / write
 
 
+# JSON kind of each manifest key the loader reads; other keys are ignored
+_MANIFEST_KINDS = {"prompts": "dict", "patients": "list"}
+_PROMPT_KINDS = {PATCH: "str | None", REGION: "str | None"}
+_ENTRY_KINDS = {"id": "str", "censor": "int", "time": "float", "patch": "str",
+                "region": "str", "parents": "str", "time_bin": "int | None"}
+_ENTRY_REQUIRED = set(_ENTRY_KINDS) - {"time_bin"}
+
+
+def _check_manifest(raw, kinds, what, where) -> dict:
+    return check_json_fields(raw, kinds, what, where, DataValidationError,
+                             ignore_unknown=True)
+
+
 def load_cohort(manifest_path):
     """Load a cohort and its prompt sets from a manifest file.
 
     Returns (records, prompts) where prompts maps level name to PromptSet.
-    Rejects repeated patient ids, any dimension mismatch across patients or
-    against the prompt files, out-of-range parent indices, and non-finite
-    embedding entries.
+    Rejects a manifest, prompt table or patient entry whose keys hold the
+    wrong JSON type (unknown keys are ignored), repeated patient ids, any
+    dimension mismatch across the matrix files, out-of-range parent indices,
+    and non-finite embedding entries.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise DataValidationError(f"missing manifest: {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    base = manifest_path.parent
-
-    # prompt files are optional: the attention-only baseline never reads them
-    prompts: dict[str, PromptSet] = {}
-    prompt_files: dict[str, Path] = {}
-    for level in (PATCH, REGION):
-        rel = manifest.get("prompts", {}).get(level)
-        if rel is None:
-            continue
-        ppath = base / rel
-        mat = read_matrix(ppath)
-        _require_finite(mat, ppath)
-        prompts[level] = PromptSet(level=level, prompts=mat)
-        prompt_files[level] = ppath
-
-    d = None
-    ref_path = None
-    for level, pset in prompts.items():
-        if d is None:
-            d, ref_path = pset.dim, prompt_files[level]
-        elif pset.dim != d:
-            raise DataValidationError(
-                f"dimension mismatch: {ref_path} has d={d} but "
-                f"{prompt_files[level]} has d={pset.dim}"
-            )
-
-    entries = manifest.get("patients", [])
-    require_unique_ids((entry["id"] for entry in entries if "id" in entry), manifest_path)
-    records = []
-    for entry in entries:
-        missing = {"id", "censor", "time", "patch", "region", "parents"} - set(entry)
+    manifest = _check_manifest(read_json(manifest_path, DataValidationError),
+                               _MANIFEST_KINDS, "manifest", manifest_path)
+    prompt_files = _check_manifest(manifest.get("prompts", {}), _PROMPT_KINDS,
+                                   "prompts", manifest_path)
+    entries = []
+    for i, raw in enumerate(manifest.get("patients", [])):
+        entry = _check_manifest(raw, _ENTRY_KINDS, "patient",
+                                f"entry {i} of {manifest_path}")
+        missing = _ENTRY_REQUIRED - set(entry)
         if missing:
             raise DataValidationError(
-                f"manifest entry lacks fields {sorted(missing)}: {entry}"
-            )
-        pid = entry["id"]
-        patch_path = base / entry["patch"]
-        region_path = base / entry["region"]
+                f"manifest entry {i} in {manifest_path} lacks fields {sorted(missing)}")
+        entries.append(entry)
+    require_unique_ids((entry["id"] for entry in entries), manifest_path)
+
+    base = manifest_path.parent
+    ref = None  # (d, path) of the first matrix read; every other must share d
+
+    def read(rel) -> np.ndarray:
+        nonlocal ref
+        path = base / rel
+        mat = read_matrix(path)
+        if not np.all(np.isfinite(mat)):
+            idx = np.argwhere(~np.isfinite(mat))[0]
+            raise DataValidationError(
+                f"non-finite entry at {tuple(int(i) for i in idx)} in {path}")
+        if ref is None:
+            ref = (mat.shape[1], path)
+        elif mat.shape[1] != ref[0]:
+            raise DataValidationError(
+                f"dimension mismatch: {path} has d={mat.shape[1]} but "
+                f"{ref[1]} has d={ref[0]}")
+        return mat
+
+    # prompt files are optional: the attention-only baseline never reads them
+    prompts = {level: PromptSet(level, read(prompt_files[level]))
+               for level in (PATCH, REGION) if prompt_files.get(level) is not None}
+    records = []
+    for entry in entries:
+        patch_mat = read(entry["patch"])
+        region_mat = read(entry["region"])
         parent_path = base / entry["parents"]
-        patch_mat = read_matrix(patch_path)
-        region_mat = read_matrix(region_path)
-        _require_finite(patch_mat, patch_path)
-        _require_finite(region_mat, region_path)
-        for mat, path in ((patch_mat, patch_path), (region_mat, region_path)):
-            if d is None:
-                d, ref_path = mat.shape[1], path
-            elif mat.shape[1] != d:
-                raise DataValidationError(
-                    f"dimension mismatch: {path} has d={mat.shape[1]} but "
-                    f"{ref_path} has d={d}"
-                )
         parents = read_parent_map(parent_path)
         if parents.size != patch_mat.shape[0]:
             raise DataValidationError(
@@ -300,9 +361,9 @@ def load_cohort(manifest_path):
                 f"{parent_path}: parent index out of range [0, {region_mat.shape[0]})"
             )
         records.append(PatientRecord(
-            patient_id=pid,
-            censor=int(entry["censor"]),
-            time=float(entry["time"]),
+            patient_id=entry["id"],
+            censor=entry["censor"],
+            time=entry["time"],
             patch_bag=FeatureBag(PATCH, patch_mat, parents),
             region_bag=FeatureBag(REGION, region_mat),
             time_bin=entry.get("time_bin"),
@@ -352,13 +413,6 @@ def require_unique_ids(ids, source):
         if pid in seen:
             raise DataValidationError(f"duplicate patient id {pid!r} in {source}")
         seen.add(pid)
-
-
-def _require_finite(mat: np.ndarray, path):
-    if not np.all(np.isfinite(mat)):
-        idx = np.argwhere(~np.isfinite(mat))[0]
-        raise DataValidationError(
-            f"non-finite entry at {tuple(int(i) for i in idx)} in {path}")
 
 
 # ---------------------------------------------------------------------------

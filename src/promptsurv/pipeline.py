@@ -30,7 +30,7 @@ import json
 import math
 import warnings
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,7 +47,7 @@ from .alignment import (
     select_top,
 )
 from .contrast import MemoryQueue, make_prototype, mutual_contrastive_loss
-from .data import PATCH, REGION, PatientRecord, PromptSet, require_unique_ids
+from .data import PATCH, REGION, PatientRecord, PromptSet, read_settings, require_unique_ids
 from .errors import ConfigError, DegenerateInputError, MetricError, TrainingError
 from .fusion import GateParams, gate_fuse, pool_to_regions
 from .metrics import (
@@ -121,22 +121,7 @@ class VariantSwitches:
             raise ConfigError("prompt scoring options need selection enabled")
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "use_selection": self.use_selection,
-            "multi_prompt": self.multi_prompt,
-            "use_transport": self.use_transport,
-            "use_regions": self.use_regions,
-            "use_gate": self.use_gate,
-            "use_contrast": self.use_contrast,
-        }
-
-
-# JSON values accepted for each TrainConfig field type; an int may stand
-# for a float
-_JSON_TYPES = {
-    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
-    "dict": (dict,), "int | None": (int, type(None)),
-}
+        return asdict(self)
 
 
 @dataclass
@@ -182,7 +167,7 @@ class TrainConfig:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        unknown = set(self.switch_overrides) - set(VariantSwitches().as_dict())
+        unknown = set(self.switch_overrides) - set(asdict(VariantSwitches()))
         if unknown:
             raise ConfigError(f"unknown switch overrides: {sorted(unknown)}")
 
@@ -217,25 +202,7 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        fields = cls.__dataclass_fields__
-        bad = set(raw) - set(fields)
-        if bad:
-            raise ConfigError(f"unknown config fields in {path}: {sorted(bad)}")
-        for name, value in raw.items():
-            kind = fields[name].type
-            allowed = _JSON_TYPES[kind]
-            # bool is an int subclass in Python, so it is rejected explicitly
-            if not isinstance(value, allowed) or (
-                    isinstance(value, bool) and bool not in allowed):
-                raise ConfigError(
-                    f"config field {name} in {path} must be {kind}, got {value!r}")
-            if kind == "float":
-                raw[name] = float(value)
-        return cls(**raw)
+        return read_settings(cls, path, "config")
 
 
 @dataclass
@@ -706,59 +673,32 @@ def emit_reports(reports: list[FoldReport], summary: dict, cfg: TrainConfig,
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = out_dir / "summary.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "n_eval", "ci", "logrank_chi2", "logrank_p"])
-        for rep in reports:
-            writer.writerow([rep.fold, len(rep.risks), _fmt(rep.ci),
-                             _fmt(rep.logrank_chi2), _fmt(rep.logrank_p)])
-        writer.writerow(["mean", "", _fmt(summary["mean_ci"]), "", ""])
-        writer.writerow(["std", "", _fmt(summary["std_ci"]), "", ""])
-    written.append(path)
-
-    path = out_dir / "risks.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "patient_id", "risk", "time", "censor", "time_bin"])
-        for rep in reports:
-            for pid, risk, time, censor, time_bin in rep.risks:
-                writer.writerow([rep.fold, pid, _fmt(risk), _fmt(time),
-                                 censor, time_bin])
-    written.append(path)
-
-    path = out_dir / "km.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "stratum", "time", "survival", "at_risk", "events"])
-        for rep in reports:
-            for stratum, curve in (("low", rep.km_low), ("high", rep.km_high)):
-                if curve is None:
-                    continue
-                for time, surv, n, d in curve.points():
-                    writer.writerow([rep.fold, stratum, _fmt(time), _fmt(surv), n, d])
-    written.append(path)
-
-    path = out_dir / "loss_trace.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "epoch", "mean_loss"])
-        for rep in reports:
-            for epoch, value in enumerate(rep.loss_trace):
-                writer.writerow([rep.fold, epoch, _fmt(value)])
-    written.append(path)
-
-    path = out_dir / "selections.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "patient_id", "level", "indices"])
-        for rep in reports:
-            for pid, level, indices in rep.selections:
-                writer.writerow([rep.fold, pid, level,
-                                 " ".join(str(i) for i in indices)])
-    written.append(path)
+    written = [
+        write_csv(out_dir / "summary.csv",
+                  ["fold", "n_eval", "ci", "logrank_chi2", "logrank_p"],
+                  [[rep.fold, len(rep.risks), _fmt(rep.ci), _fmt(rep.logrank_chi2),
+                    _fmt(rep.logrank_p)] for rep in reports]
+                  + [["mean", "", _fmt(summary["mean_ci"]), "", ""],
+                     ["std", "", _fmt(summary["std_ci"]), "", ""]]),
+        write_csv(out_dir / "risks.csv",
+                  ["fold", "patient_id", "risk", "time", "censor", "time_bin"],
+                  ([rep.fold, pid, _fmt(risk), _fmt(time), censor, time_bin]
+                   for rep in reports
+                   for pid, risk, time, censor, time_bin in rep.risks)),
+        write_csv(out_dir / "km.csv",
+                  ["fold", "stratum", "time", "survival", "at_risk", "events"],
+                  ([rep.fold, stratum, _fmt(time), _fmt(surv), n, d]
+                   for rep in reports
+                   for stratum, curve in (("low", rep.km_low), ("high", rep.km_high))
+                   if curve is not None
+                   for time, surv, n, d in curve.points())),
+        write_csv(out_dir / "loss_trace.csv", ["fold", "epoch", "mean_loss"],
+                  ([rep.fold, epoch, _fmt(value)]
+                   for rep in reports for epoch, value in enumerate(rep.loss_trace))),
+        write_csv(out_dir / "selections.csv", ["fold", "patient_id", "level", "indices"],
+                  ([rep.fold, pid, level, " ".join(str(i) for i in indices)]
+                   for rep in reports for pid, level, indices in rep.selections)),
+    ]
 
     metadata = {
         "config": cfg.as_dict(),
@@ -785,13 +725,18 @@ def emit_reports(reports: list[FoldReport], summary: dict, cfg: TrainConfig,
 def emit_ablation_table(rows: list[dict], out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "ablation.csv"
+    return write_csv(out_dir / "ablation.csv",
+                     ["variant", "mean_ci", "std_ci", "folds_used"],
+                     ([row["variant"], _fmt(row["mean_ci"]), _fmt(row["std_ci"]),
+                       row["folds_used"]] for row in rows))
+
+
+def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write one header row and then `rows` as CSV; returns `path`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["variant", "mean_ci", "std_ci", "folds_used"])
-        for row in rows:
-            writer.writerow([row["variant"], _fmt(row["mean_ci"]),
-                             _fmt(row["std_ci"]), row["folds_used"]])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 

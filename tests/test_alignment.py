@@ -191,6 +191,31 @@ class TestSinkhorn:
         with pytest.raises(ConfigError):
             TransportProblem.uniform(np.zeros((2, 2)), epsilon=0.0)
 
+    @pytest.mark.parametrize("u, v", [
+        ([0.5, 0.500009], [0.5, 0.5]),      # off by 9e-6: no plan can balance it
+        ([0.5, 0.5], [0.5 - 2e-9, 0.5]),
+        ([0.5, float("nan")], [0.5, 0.5]),
+        ([1.5, -0.5], [0.5, 0.5]),
+        ([], [1.0]),
+    ])
+    def test_marginal_sums_to_one_within_1e9(self, u, v):
+        with pytest.raises(ConfigError, match="marginal"):
+            TransportProblem(cost=np.zeros((len(u), len(v))), u=np.array(u), v=np.array(v))
+
+    def test_marginal_rounding_accepted(self):
+        for m in (3, 7, 2048):
+            TransportProblem.uniform(np.zeros((m, 8)))
+        TransportProblem(cost=np.zeros((2, 2)), u=np.array([0.5, 0.5 + 5e-10]),
+                         v=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf"),
+                                       2.0 + 1e-9, -1e-9])
+    def test_cost_out_of_range_rejected(self, entry):
+        cost = np.ones((3, 2))
+        cost[1, 1] = entry
+        with pytest.raises(ConfigError, match="cost"):
+            TransportProblem.uniform(cost)
+
 
 class TestMatchingProbability:
     def test_constant_column_is_uniform(self):

@@ -1,11 +1,14 @@
+import argparse
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from conftest import build_cohort
-from promptsurv.cli import main
+from promptsurv.cli import build_parser, main
 from promptsurv.data import write_cohort
+from promptsurv.pipeline import TrainConfig
 
 
 @pytest.fixture
@@ -35,6 +38,16 @@ class TestSynth:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"bogus": 1}))
         assert run(["synth", "--spec", spec_path, "--out", tmp_path / "c"]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_patients", "5"), ("n_patients", 2.5), ("seed", True),
+    ])
+    def test_spec_field_of_wrong_type_exit_code(self, tmp_path, capsys, field, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({field: value}))
+        assert run(["synth", "--spec", spec_path, "--out", tmp_path / "c"]) == 2
+        assert f"SynthSpec field {field} in {spec_path} " in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
 
 class TestTrainAndCv:
@@ -128,6 +141,14 @@ class TestTrainAndCv:
                     "--out", tmp_path / "o", "--config", cfg_path]) == 2
         assert f"config field {field} " in capsys.readouterr().err
 
+    def test_config_file_int_beyond_float_range_exit_code(self, cohort_dir, tmp_path,
+                                                          capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"lr": 1' + "0" * 400 + "}")
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json",
+                    "--out", tmp_path / "o", "--config", cfg_path]) == 2
+        assert "config field lr " in capsys.readouterr().err
+
     def test_config_file_int_for_float_field(self, cohort_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "n_bins": 3, "lam": 1,
@@ -147,6 +168,27 @@ class TestTrainAndCv:
     def test_bad_switch_value_exit_code(self, cohort_dir, tmp_path):
         assert run(["cv", "--manifest", cohort_dir / "manifest.json",
                     "--out", tmp_path / "o", "--switch", "use_contrast=perhaps"]) == 2
+
+    def test_manifest_list_exit_code(self, cohort_dir, tmp_path, capsys):
+        manifest = cohort_dir / "manifest.json"
+        manifest.write_text(json.dumps(json.loads(manifest.read_text())["patients"]))
+        assert run(["cv", "--manifest", manifest, "--out", tmp_path / "o"]) == 3
+        assert f"manifest in {manifest} must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("time", "abc"), ("time", None), ("censor", "x"), ("censor", True),
+        ("id", 5), ("time_bin", "2"),
+    ])
+    def test_manifest_entry_of_wrong_type_exit_code(self, cohort_dir, tmp_path, capsys,
+                                                    key, value):
+        manifest = cohort_dir / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["patients"][3][key] = value
+        manifest.write_text(json.dumps(raw))
+        assert run(["cv", "--manifest", manifest, "--out", tmp_path / "o",
+                    "--folds", 3, "--epochs", 1, "--n-bins", 3]) == 3
+        assert f"patient field {key} in entry 3 of {manifest} " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestAblate:
@@ -182,3 +224,68 @@ class TestKmExport:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert run(["km-export", "--risks", bad, "--out", tmp_path / "o"]) == 3
+
+    @pytest.mark.parametrize("row", ["high,10.0,0", "0.5,10.0,", "nan,10.0,0",
+                                     "0.5,inf,1", "0.5,10.0", "0.5,0.0,0"])
+    def test_malformed_row_exit_code_names_line(self, tmp_path, capsys, row):
+        bad = tmp_path / "risks.csv"
+        bad.write_text("risk,time,censor\n0.1,5.0,0\n" + row + "\n0.2,7.0,1\n")
+        assert run(["km-export", "--risks", bad, "--out", tmp_path / "o"]) == 3
+        assert f"{bad} line 3: " in capsys.readouterr().err
+
+    def test_non_utf8_risk_csv_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "risks.csv"
+        bad.write_bytes(b"risk,time,censor\n0.1,5.0,0\n\xff,6.0,0\n")
+        assert run(["km-export", "--risks", bad, "--out", tmp_path / "o"]) == 3
+        assert f"{bad} is not UTF-8" in capsys.readouterr().err
+
+
+class TestConfigFlags:
+    FIELDS = [f.name for f in dataclasses.fields(TrainConfig)
+              if f.name != "switch_overrides"]
+
+    @staticmethod
+    def subparser(command):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        return sub.choices[command]
+
+    @pytest.mark.parametrize("command", ["train", "cv", "ablate"])
+    def test_one_flag_per_config_field(self, command):
+        actions = [action for action in self.subparser(command)._actions
+                   if action.dest in self.FIELDS]
+        assert sorted(action.dest for action in actions) == sorted(self.FIELDS)
+        assert {opt for action in actions for opt in action.option_strings} == \
+            {f"--{name.replace('_', '-')}" for name in self.FIELDS} | \
+            {"--no-reset-queues-per-epoch"}
+        assert not any(action.dest == "switch_overrides"
+                       for action in self.subparser(command)._actions)
+
+    def test_each_flag_parses_to_its_field_type(self):
+        values = {"epochs": "3", "lr": "1e-3", "batch_size": "1", "r": "0.5",
+                  "queue_length": "5", "lam": "0.5", "n_bins": "3", "epsilon": "0.2",
+                  "sinkhorn_tol": "1e-7", "sinkhorn_max_iters": "50", "seed": "4",
+                  "variant": "F", "attention_dim": "6", "temperature": "0.5"}
+        argv = ["cv", "--manifest", "m.json", "--out", "o", "--reset-queues-per-epoch"]
+        for name, value in values.items():
+            argv += [f"--{name.replace('_', '-')}", value]
+        args = build_parser().parse_args(argv)
+        assert set(values) | {"reset_queues_per_epoch"} == set(self.FIELDS)
+        for f in dataclasses.fields(TrainConfig):
+            if f.name in values:
+                expected = {"int": int, "int | None": int, "float": float,
+                            "str": str}[f.type](values[f.name])
+                assert getattr(args, f.name) == expected
+                assert type(getattr(args, f.name)) is type(expected)
+        assert args.reset_queues_per_epoch is True
+
+    def test_no_flag_overrides_true_from_config_file(self, cohort_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "n_bins": 3,
+                                        "reset_queues_per_epoch": True}))
+        for flag, expected in (([], True), (["--no-reset-queues-per-epoch"], False)):
+            out = tmp_path / f"out{expected}"
+            assert run(["cv", "--manifest", cohort_dir / "manifest.json", "--out", out,
+                        "--folds", 3, "--config", cfg_path] + flag) == 0
+            meta = json.loads((out / "metadata.json").read_text())
+            assert meta["config"]["reset_queues_per_epoch"] is expected

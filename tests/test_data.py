@@ -185,6 +185,74 @@ class TestCohortIO:
         assert len(loaded) == 2 and loaded_prompts == {}
 
 
+class TestManifestTypes:
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        records, prompts, _ = generate_synthetic(small_spec(n_patients=2))
+        return write_cohort(records, prompts, tmp_path)
+
+    def rewrite(self, manifest, edit):
+        raw = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(edit(raw)))
+
+    @pytest.mark.parametrize("key, value", [
+        ("id", 5), ("censor", "0"), ("censor", False), ("censor", 0.0),
+        ("time", "34.2"), ("time", None), ("time", True), ("patch", 3),
+        ("parents", None), ("time_bin", "2"), ("time_bin", 2.0),
+    ])
+    def test_entry_key_of_wrong_type_names_file_entry_and_key(self, manifest, key, value):
+        def edit(raw):
+            raw["patients"][1][key] = value
+            return raw
+        self.rewrite(manifest, edit)
+        with pytest.raises(DataValidationError) as err:
+            load_cohort(manifest)
+        assert f"patient field {key} in entry 1 of {manifest} " in str(err.value)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["patients"], "manifest in"),
+        (lambda raw: {**raw, "patients": {"p0000": {}}}, "manifest field patients"),
+        (lambda raw: {**raw, "prompts": ["a.mat"]}, "manifest field prompts"),
+        (lambda raw: {**raw, "prompts": {"patch": 1}}, "prompts field patch"),
+        (lambda raw: {**raw, "patients": [["p0000"]]}, "patient in entry 0"),
+    ])
+    def test_container_of_wrong_type_rejected(self, manifest, edit, message):
+        self.rewrite(manifest, edit)
+        with pytest.raises(DataValidationError, match=message):
+            load_cohort(manifest)
+
+    def test_missing_key_names_entry(self, manifest):
+        def edit(raw):
+            del raw["patients"][1]["parents"]
+            return raw
+        self.rewrite(manifest, edit)
+        with pytest.raises(DataValidationError, match=r"entry 1 .* lacks fields \['parents'\]"):
+            load_cohort(manifest)
+
+    @pytest.mark.parametrize("content", [b'{"patients": [', b'{"note": "\xff"}'])
+    def test_invalid_json_rejected(self, manifest, content):
+        manifest.write_bytes(content)
+        with pytest.raises(DataValidationError, match="not valid JSON"):
+            load_cohort(manifest)
+
+    def test_non_ascii_parent_map_rejected(self, manifest, tmp_path):
+        (tmp_path / "p0001_parents.txt").write_bytes(b"0\n\xff\n")
+        with pytest.raises(DataValidationError, match="p0001_parents.txt"):
+            load_cohort(manifest)
+
+    def test_int_time_unknown_keys_and_null_prompt_accepted(self, manifest):
+        def edit(raw):
+            raw["patients"][0].update(time=12, time_bin=None, site="A")
+            raw["prompts"]["region"] = None
+            raw["note"] = "unread"
+            return raw
+        self.rewrite(manifest, edit)
+        records, prompts = load_cohort(manifest)
+        assert records[0].time == 12.0 and isinstance(records[0].time, float)
+        assert records[0].time_bin is None
+        assert set(prompts) == {PATCH}
+
+
 class TestDiscretizer:
     def test_distinct_times_get_distinct_bins(self):
         records = [make_record(f"p{i}", 0, t) for i, t in enumerate([1.0, 2.0, 3.0, 4.0])]
