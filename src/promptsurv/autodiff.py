@@ -116,6 +116,8 @@ def parameter(data, name: str = "") -> Node:
 
 
 def _make(value: np.ndarray, parents, backward) -> Node:
+    # the backward is kept only when some input requires grad, so a one-input
+    # op's backward needs no guard; multi-input ops skip their constant inputs
     out = Node(value)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -146,8 +148,7 @@ def transpose(a: Node) -> Node:
     value = np.ascontiguousarray(a.value.T)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.T)
+        a.accumulate(g.T)
 
     return _make(value, (a,), backward)
 
@@ -182,8 +183,7 @@ def scale(a: Node, factor: float) -> Node:
     factor = float(factor)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(factor * g)
+        a.accumulate(factor * g)
 
     return _make(factor * a.value, (a,), backward)
 
@@ -197,8 +197,7 @@ def sigmoid(a: Node) -> Node:
     value[~pos] = ex / (1.0 + ex)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * value * (1.0 - value))
+        a.accumulate(g * value * (1.0 - value))
 
     return _make(value, (a,), backward)
 
@@ -207,8 +206,7 @@ def tanh(a: Node) -> Node:
     value = np.tanh(a.value)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - value * value))
+        a.accumulate(g * (1.0 - value * value))
 
     return _make(value, (a,), backward)
 
@@ -223,8 +221,7 @@ def sum_cols(a: Node) -> Node:
     value = a.value.sum(axis=0, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.broadcast_to(g, a.value.shape).copy())
+        a.accumulate(np.broadcast_to(g, a.value.shape).copy())
 
     return _make(value, (a,), backward)
 
@@ -236,8 +233,7 @@ def mean_rows(a: Node) -> Node:
     value = a.value.mean(axis=0, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.broadcast_to(g / m, a.value.shape).copy())
+        a.accumulate(np.broadcast_to(g / m, a.value.shape).copy())
 
     return _make(value, (a,), backward)
 
@@ -292,10 +288,9 @@ def gather_rows(a: Node, indices) -> Node:
     value = a.value[idx]
 
     def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.value)
-            np.add.at(buf, idx, g)
-            a.accumulate(buf)
+        buf = np.zeros_like(a.value)
+        np.add.at(buf, idx, g)
+        a.accumulate(buf)
 
     return _make(value, (a,), backward)
 
@@ -308,9 +303,8 @@ def softmax_cols(a: Node) -> Node:
     value = e / e.sum(axis=0, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            inner = (value * g).sum(axis=0, keepdims=True)
-            a.accumulate(value * (g - inner))
+        inner = (value * g).sum(axis=0, keepdims=True)
+        a.accumulate(value * (g - inner))
 
     return _make(value, (a,), backward)
 
@@ -364,11 +358,10 @@ def cumprod_complement(h: Node) -> Node:
     before = np.concatenate([np.ones((h.value.shape[0], 1)), value[:, :-1]], axis=1)
 
     def backward(g):
-        if h.requires_grad:
-            carried = g.copy()  # each running product's gradient, from the last back
-            for t in range(g.shape[1] - 2, -1, -1):
-                carried[:, t] += carried[:, t + 1] * rest[:, t + 1]
-            h.accumulate(-(carried * before))
+        carried = g.copy()  # each running product's gradient, from the last back
+        for t in range(g.shape[1] - 2, -1, -1):
+            carried[:, t] += carried[:, t + 1] * rest[:, t + 1]
+        h.accumulate(-(carried * before))
 
     return _make(value, (h,), backward)
 
@@ -383,10 +376,9 @@ def l2_normalize_row(row: Node) -> Node:
     value = inv_norm @ s
 
     def backward(g):
-        if row.requires_grad:
-            g_sq = ((-0.5 * ((g @ s.T) * inv_norm)) / sq_norm)[0, 0]
-            # the chain's order: the direct term, then one term per factor of s * s
-            row.accumulate(inv_norm.T @ g + g_sq * s + g_sq * s)
+        g_sq = ((-0.5 * ((g @ s.T) * inv_norm)) / sq_norm)[0, 0]
+        # the chain's order: the direct term, then one term per factor of s * s
+        row.accumulate(inv_norm.T @ g + g_sq * s + g_sq * s)
 
     return _make(value, (row,), backward)
 
@@ -440,10 +432,9 @@ def neg_log_entry(row: Node, col: int, floor: float) -> Node:
     value = -_checked_log(clamped)
 
     def backward(g):
-        if row.requires_grad:
-            buf = np.zeros_like(row.value)
-            buf[:, col:col + 1] += (-g / clamped) * above
-            row.accumulate(buf)
+        buf = np.zeros_like(row.value)
+        buf[:, col:col + 1] += (-g / clamped) * above
+        row.accumulate(buf)
 
     return _make(value, (row,), backward)
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +25,7 @@ from .data import (
     generate_synthetic,
     load_cohort,
     write_cohort,
+    write_json,
 )
 from .errors import (
     ConfigError,
@@ -38,7 +37,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .metrics import RiskedPatient, kaplan_meier, logrank_test, stratify_median
+from .metrics import KM_COLUMNS, RiskedPatient, km_rows, logrank_test, median_strata
 from .pipeline import (
     TrainConfig,
     cross_validate,
@@ -147,20 +146,14 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_km_export(args) -> int:
-    patients = _read_risk_csv(args.risks)
-    low, high = stratify_median(patients)
+    low, high, km_low, km_high = median_strata(_read_risk_csv(args.risks))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "km.csv", ["stratum", "time", "survival", "at_risk", "events"],
-              ([stratum, repr(time), repr(surv), n, d]
-               for stratum, group in (("low", low), ("high", high)) if group
-               for time, surv, n, d in kaplan_meier(group).points()))
+    # the curves are written before a log-rank test that may be undefined
+    write_csv(out_dir / "km.csv", KM_COLUMNS, km_rows(km_low, km_high))
     chi2, p_value = logrank_test(low, high)
-    stats_path = out_dir / "logrank.json"
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        json.dump({"chi_square": chi2, "p_value": p_value,
-                   "n_low": len(low), "n_high": len(high)}, fh, indent=1)
-        fh.write("\n")
+    write_json(out_dir / "logrank.json", {"chi_square": chi2, "p_value": p_value,
+                                          "n_low": len(low), "n_high": len(high)})
     print(f"log-rank chi2={chi2:.4f} p={p_value:.4g}")
     return 0
 
@@ -180,11 +173,9 @@ def _read_risk_csv(path) -> list[RiskedPatient]:
                     f"(got {reader.fieldnames})"
                 )
             for row in reader:
-                try:
-                    risk, time = float(row["risk"]), float(row["time"])
-                    if not (math.isfinite(risk) and math.isfinite(time)):
-                        raise ValueError(f"risk and time must be finite, got {risk}, {time}")
-                    patients.append(RiskedPatient(risk=risk, time=time,
+                try:  # RiskedPatient's MetricError is a ValueError
+                    patients.append(RiskedPatient(risk=float(row["risk"]),
+                                                  time=float(row["time"]),
                                                   censor=int(row["censor"])))
                 except (TypeError, ValueError) as exc:
                     raise DataValidationError(

@@ -193,6 +193,14 @@ def read_json(path, error):
             raise error(f"{path} is not valid JSON: {exc}") from exc
 
 
+def write_json(path, obj, sort_keys: bool = False) -> Path:
+    """Write `obj` as JSON indented by one space and ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
+    return path
+
+
 def read_settings(cls, path, what: str):
     """Build the dataclass `cls` from a JSON settings file; an unknown field or
     a value of the wrong JSON type raises ConfigError."""
@@ -396,11 +404,7 @@ def write_cohort(records, prompts, out_dir) -> Path:
         write_matrix(out_dir / entry["region"], rec.region_bag.tokens)
         write_parent_map(out_dir / entry["parents"], rec.patch_bag.parent_region)
         manifest["patients"].append(entry)
-    manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-    return manifest_path
+    return write_json(out_dir / "manifest.json", manifest)
 
 
 def require_unique_ids(ids, source):

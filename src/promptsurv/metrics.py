@@ -9,6 +9,7 @@ remain at risk for events occurring exactly at t.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,8 +28,10 @@ class RiskedPatient:
     censor: int
 
     def __post_init__(self):
-        if self.time <= 0.0:
-            raise MetricError(f"time must be positive, got {self.time}")
+        if not math.isfinite(self.risk):
+            raise MetricError(f"risk must be finite, got {self.risk}")
+        if not (math.isfinite(self.time) and self.time > 0.0):
+            raise MetricError(f"time must be finite and > 0, got {self.time}")
         if self.censor not in (0, 1):
             raise MetricError(f"censor must be 0 or 1, got {self.censor}")
 
@@ -169,3 +172,23 @@ def stratify_median(patients: list[RiskedPatient]
     if not high:
         warnings.warn("all risks at or below the median; high-risk stratum is empty")
     return low, high
+
+
+def median_strata(patients: list[RiskedPatient]) -> tuple[
+        list[RiskedPatient], list[RiskedPatient], KMCurve | None, KMCurve | None]:
+    """(low, high, KM of low, KM of high) by `stratify_median`; an empty
+    stratum has no curve. `logrank_test(low, high)` is left to the caller,
+    so the curves survive a test that is undefined."""
+    low, high = stratify_median(patients)
+    return (low, high, kaplan_meier(low) if low else None,
+            kaplan_meier(high) if high else None)
+
+
+KM_COLUMNS = ["stratum", "time", "survival", "at_risk", "events"]
+
+
+def km_rows(km_low: KMCurve | None, km_high: KMCurve | None) -> list[list]:
+    """`KM_COLUMNS` rows of each present curve, numbers at repr precision."""
+    return [[stratum, repr(time), repr(surv), n, d]
+            for stratum, curve in (("low", km_low), ("high", km_high)) if curve is not None
+            for time, surv, n, d in curve.points()]

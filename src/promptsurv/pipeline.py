@@ -26,7 +26,6 @@ gated region selection reads the gate's output and is solved on every step.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 import zlib
@@ -47,16 +46,18 @@ from .alignment import (
     select_top,
 )
 from .contrast import MemoryQueue, make_prototype, mutual_contrastive_loss
-from .data import PATCH, REGION, PatientRecord, PromptSet, read_settings, require_unique_ids
+from .data import (PATCH, REGION, PatientRecord, PromptSet, read_settings,
+                   require_unique_ids, write_json)
 from .errors import ConfigError, DegenerateInputError, MetricError, TrainingError
 from .fusion import GateParams, gate_fuse, pool_to_regions
 from .metrics import (
+    KM_COLUMNS,
     KMCurve,
     RiskedPatient,
     concordance_index,
-    kaplan_meier,
+    km_rows,
     logrank_test,
-    stratify_median,
+    median_strata,
 )
 from .optim import AdamState
 from .survival import (
@@ -154,8 +155,8 @@ class TrainConfig:
             raise ConfigError(f"r must be in (0,1], got {self.r}")
         if self.queue_length < 2:
             raise ConfigError(f"queue_length must be >= 2, got {self.queue_length}")
-        if self.lam < 0.0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         for name in ("lr", "temperature", "epsilon", "sinkhorn_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
@@ -399,15 +400,14 @@ class Pipeline:
         """Build the hazard graph for one patient.
 
         Returns (hazard node, patch prototype as (node, queue entry) or None,
-        selected region node or None, selection log entries).
+        selected region node or None, (level, kept indices) per selection).
         """
-        selections = []
         if not self.switches.use_selection:
             pooled = attention_pool(ad.constant(rec.patch_bag.tokens), self.attn)
-            return hazards(pooled, self.head), None, None, selections
+            return hazards(pooled, self.head), None, None, []
 
         patch_idx, patch_node, pooled, patch_proto = self._patch_constants(rec)
-        selections.append((rec.patient_id, PATCH, [int(i) for i in patch_idx]))
+        chosen = [(PATCH, patch_idx)]
 
         region_node = None
         if self.switches.use_regions:
@@ -417,11 +417,11 @@ class Pipeline:
                 region_idx = self._use(self._choose(region_input.value, REGION), REGION)
             else:
                 region_idx = self._select(rec, REGION)
-            selections.append((rec.patient_id, REGION, [int(i) for i in region_idx]))
+            chosen.append((REGION, region_idx))
             region_node = ad.gather_rows(region_input, region_idx)
 
         fused = fuse(patch_node, region_node)
-        return hazards(fused, self.head), patch_proto, region_node, selections
+        return hazards(fused, self.head), patch_proto, region_node, chosen
 
     def patient_loss(self, rec: PatientRecord, update_queues: bool = True) -> ad.Node:
         """Total training loss node for one patient.
@@ -449,12 +449,12 @@ class Pipeline:
                 self.queue_region.push(proto_r)
         return total_loss(l_sur, l_con, self.loss_cfg)
 
-    def predict(self, rec: PatientRecord):
-        """Hazards, survival curve, and scalar risk for one patient."""
-        h, _, _, selections = self.forward(rec)
-        h_values = h.value[0]
-        s_values = survival_curve_values(h_values)
-        return h_values, s_values, risk_score(s_values), selections
+    def predict(self, rec: PatientRecord) -> tuple[float, list]:
+        """Scalar risk for one patient and its selection log entries
+        (id, level, kept indices)."""
+        h, _, _, chosen = self.forward(rec)
+        risk = risk_score(survival_curve_values(h.value[0]))
+        return risk, [(rec.patient_id, level, [int(i) for i in idx]) for level, idx in chosen]
 
     # -- training ----------------------------------------------------------
 
@@ -513,7 +513,7 @@ def evaluate_fold(model: Pipeline, records: list[PatientRecord],
     selections = []
     flags = []
     for rec in records:
-        _, _, risk, sels = model.predict(rec)
+        risk, sels = model.predict(rec)
         risks.append((rec.patient_id, risk, rec.time, rec.censor,
                       rec.time_bin if rec.time_bin is not None else -1))
         riskeds.append(RiskedPatient(risk=risk, time=rec.time, censor=rec.censor))
@@ -528,14 +528,9 @@ def evaluate_fold(model: Pipeline, records: list[PatientRecord],
     except MetricError as exc:
         flags.append(f"concordance undefined: {exc}")
 
-    km_low = km_high = None
-    chi2 = p_value = None
+    km_low = km_high = chi2 = p_value = None
     try:
-        low, high = stratify_median(riskeds)
-        if low:
-            km_low = kaplan_meier(low)
-        if high:
-            km_high = kaplan_meier(high)
+        low, high, km_low, km_high = median_strata(riskeds)
         chi2, p_value = logrank_test(low, high)
     except (MetricError, DegenerateInputError) as exc:
         flags.append(f"stratified analysis unavailable: {exc}")
@@ -568,16 +563,20 @@ def split_folds(records: list[PatientRecord], k: int, seed: int) -> list[list[in
     if len(records) < 5 * k:
         warnings.warn(f"only {len(records)} patients for {k} folds; "
                       "fold metrics will be unstable")
-    rng = _stream(seed, 0, "split")
-    folds: list[list[int]] = [[] for _ in range(k)]
-    offset = 0
+    # dealt round-robin, so each fold gets its share of both strata
+    order = [idx for members in _censor_strata(records, seed, "split") for idx in members]
+    return [sorted(order[fold::k]) for fold in range(k)]
+
+
+def _censor_strata(records: list[PatientRecord], seed: int, tag: str) -> list[list[int]]:
+    """Indices of the uncensored and then the censored patients, each stratum
+    shuffled by the stream named `tag`."""
+    rng = _stream(seed, 0, tag)
+    strata = []
     for status in (0, 1):
         members = [i for i, r in enumerate(records) if r.censor == status]
-        members = [members[i] for i in rng.permutation(len(members))]
-        for pos, idx in enumerate(members):
-            folds[(offset + pos) % k].append(idx)
-        offset += len(members)
-    return [sorted(f) for f in folds]
+        strata.append([members[i] for i in rng.permutation(len(members))])
+    return strata
 
 
 def cross_validate(records: list[PatientRecord], prompts: dict[str, PromptSet],
@@ -631,11 +630,12 @@ def run_ablation(records: list[PatientRecord], prompts: dict[str, PromptSet],
     The rungs share one selection memo: D-G select the same patch tokens,
     and B and C each keep their own cosine entries under their scoring key.
     """
+    unknown = [variant for variant in variants if variant not in VARIANTS]
+    if unknown:
+        raise ConfigError(f"unknown variant {unknown[0]!r}; expected letters of {VARIANTS}")
     rows = []
     memo: SelectionMemo = {}
     for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
         vcfg = replace(cfg, variant=variant, switch_overrides={})
         _, summary = cross_validate(records, prompts, vcfg, k, memo=memo)
         rows.append({"variant": variant, **summary})
@@ -647,11 +647,8 @@ def holdout_split(records: list[PatientRecord], fraction: float,
     """Single stratified train/eval split with `fraction` held out."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"holdout fraction must be in (0,1), got {fraction}")
-    rng = _stream(seed, 0, "holdout")
     eval_idx: set[int] = set()
-    for status in (0, 1):
-        members = [i for i, r in enumerate(records) if r.censor == status]
-        members = [members[i] for i in rng.permutation(len(members))]
+    for members in _censor_strata(records, seed, "holdout"):
         n_hold = max(1, round(fraction * len(members))) if members else 0
         eval_idx.update(members[:n_hold])
     train = [r for i, r in enumerate(records) if i not in eval_idx]
@@ -685,13 +682,9 @@ def emit_reports(reports: list[FoldReport], summary: dict, cfg: TrainConfig,
                   ([rep.fold, pid, _fmt(risk), _fmt(time), censor, time_bin]
                    for rep in reports
                    for pid, risk, time, censor, time_bin in rep.risks)),
-        write_csv(out_dir / "km.csv",
-                  ["fold", "stratum", "time", "survival", "at_risk", "events"],
-                  ([rep.fold, stratum, _fmt(time), _fmt(surv), n, d]
-                   for rep in reports
-                   for stratum, curve in (("low", rep.km_low), ("high", rep.km_high))
-                   if curve is not None
-                   for time, surv, n, d in curve.points())),
+        write_csv(out_dir / "km.csv", ["fold", *KM_COLUMNS],
+                  ([rep.fold, *row] for rep in reports
+                   for row in km_rows(rep.km_low, rep.km_high))),
         write_csv(out_dir / "loss_trace.csv", ["fold", "epoch", "mean_loss"],
                   ([rep.fold, epoch, _fmt(value)]
                    for rep in reports for epoch, value in enumerate(rep.loss_trace))),
@@ -714,11 +707,7 @@ def emit_reports(reports: list[FoldReport], summary: dict, cfg: TrainConfig,
     }
     if extra:
         metadata.update(extra)
-    path = out_dir / "metadata.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    written.append(path)
+    written.append(write_json(out_dir / "metadata.json", metadata, sort_keys=True))
     return written
 
 

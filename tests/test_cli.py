@@ -220,6 +220,18 @@ class TestKmExport:
             rows = list(csv.DictReader(fh))
         assert {r["stratum"] for r in rows} <= {"low", "high"}
 
+    def test_same_km_rows_as_train(self, cohort_dir, tmp_path):
+        out = tmp_path / "train"
+        assert run(["train", "--manifest", cohort_dir / "manifest.json", "--out", out,
+                    "--epochs", 1, "--n-bins", 3]) == 0
+        assert run(["km-export", "--risks", out / "risks.csv", "--out", tmp_path / "km"]) == 0
+        with open(out / "km.csv") as fh:
+            train_rows = [row[1:] for row in csv.reader(fh)]
+        with open(tmp_path / "km" / "km.csv") as fh:
+            export_rows = list(csv.reader(fh))
+        assert len(export_rows) > 1
+        assert train_rows == export_rows
+
     def test_malformed_csv_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")

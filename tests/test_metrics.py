@@ -36,6 +36,17 @@ def ci_oracle(patients):
     return weight / pairs
 
 
+class TestRiskedPatient:
+    @pytest.mark.parametrize("risk, time, censor", [
+        (0.5, float("nan"), 0), (0.5, float("inf"), 0), (0.5, 0.0, 0),
+        (float("nan"), 1.0, 0), (float("inf"), 1.0, 0), (float("-inf"), 1.0, 0),
+        (0.5, 1.0, 2),
+    ])
+    def test_rejects_invalid_row(self, risk, time, censor):
+        with pytest.raises(MetricError):
+            RiskedPatient(risk=risk, time=time, censor=censor)
+
+
 class TestConcordance:
     def test_perfect_ranking(self):
         pats = patients_from([3, 2, 1], [1, 2, 3], [0, 0, 0])

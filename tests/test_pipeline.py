@@ -88,6 +88,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_lambda_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ConfigError, match="lam"):
+            TrainConfig(lam=value)
+
     @pytest.mark.parametrize("value", [0, -1])
     def test_solver_needs_at_least_one_iteration(self, value):
         with pytest.raises(ConfigError, match="sinkhorn_max_iters"):
@@ -363,6 +368,15 @@ class TestAblation:
             _, direct = cross_validate(records, prompts,
                                        replace(cfg, variant=row["variant"]), k=3)
             assert row == {"variant": row["variant"], **direct}
+
+    def test_unknown_variant_rejected_before_any_rung(self, small_cohort, monkeypatch):
+        records, prompts, _ = small_cohort
+        calls = []
+        monkeypatch.setattr(pipeline, "cross_validate",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigError, match="'Z'"):
+            run_ablation(records, prompts, fast_cfg(epochs=1), k=3, variants="GZ")
+        assert calls == []
 
 
 class TestSelectionMemo:
