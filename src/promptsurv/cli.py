@@ -104,7 +104,7 @@ def _load_discretized(manifest: str, cfg: TrainConfig):
 def _cmd_synth(args) -> int:
     spec = SynthSpec.from_json(args.spec) if args.spec else SynthSpec()
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = replace(spec, seed=args.seed)
     records, prompts, _ = generate_synthetic(spec)
     manifest = write_cohort(records, prompts, args.out)
     print(f"wrote {len(records)} patients to {manifest}")
@@ -135,6 +135,9 @@ def _cmd_cv(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
+    if args.variant is not None or cfg.variant != TrainConfig.variant:
+        raise ConfigError("ablate runs the variants named by --variants; "
+                          "a --variant flag or config variant would be dropped")
     records, prompts = _load_discretized(args.manifest, cfg)
     rows = run_ablation(records, prompts, cfg, k=args.folds,
                         variants=args.variants)

@@ -139,6 +139,8 @@ class SynthSpec:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.censor_rate < 1.0:
             raise ConfigError(f"censor_rate must be in [0,1), got {self.censor_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # background tokens live orthogonal to the prompt span plus risk axis
         room = max(self.n_prompts_patch, self.n_prompts_region) + 2
         if self.d < room:

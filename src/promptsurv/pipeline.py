@@ -12,15 +12,22 @@ carry fully independent state (parameters, queues, streams) and could run
 in parallel; within a fold, training is sequential because batch size is 1
 and the queue state is order-dependent.
 
-The one thing folds may share is a read-mostly selection memo. Whenever
-alignment reads a raw bag (every patch-level selection, and the region level
-of variants without the gate), its selection depends on the tokens, the
-prompts and the scoring settings only, never on a parameter. Given a memo,
-`cross_validate` solves it once per patient and hands the indices to every
-fold, and `run_ablation` hands one memo to every rung, keyed by the scoring
-settings so a cosine rung never reads a transport selection. Selections are
-deterministic, so a memo hit returns exactly what a fresh solve would. The
-gated region selection reads the gate's output and is solved on every step.
+Whenever alignment reads a raw bag (every patch-level selection, and the
+region level of variants without the gate), its selection depends on the
+tokens, the prompts and the scoring settings only, never on a parameter.
+Each fold caches, once per patient, everything no parameter reaches: those
+selections, the tokens they keep, the patch evidence pooled into regions,
+the patch prototype and the region bag. A training step builds only the
+gated path and the head. The same rule counts solver health: a raw-bag
+selection counts once per patient per fold, a gated selection at every use.
+
+The one thing folds may share is a read-mostly selection memo. Given one,
+`cross_validate` solves each raw bag once per patient and hands the indices
+to every fold, and `run_ablation` hands one memo to every rung, keyed by the
+scoring settings so a cosine rung never reads a transport selection.
+Selections are deterministic, so a memo hit returns exactly what a fresh
+solve would. The gated region selection reads the gate's output and is
+solved on every step.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ from .alignment import (
 from .contrast import MemoryQueue, make_prototype, mutual_contrastive_loss
 from .data import (PATCH, REGION, PatientRecord, PromptSet, read_settings,
                    require_unique_ids, write_json)
-from .errors import ConfigError, DegenerateInputError, MetricError, TrainingError
+from .errors import (ConfigError, DataValidationError, DegenerateInputError, MetricError,
+                     TrainingError)
 from .fusion import GateParams, gate_fuse, pool_to_regions
 from .metrics import (
     KM_COLUMNS,
@@ -166,16 +174,21 @@ class TrainConfig:
                 f"sinkhorn_max_iters must be >= 1, got {self.sinkhorn_max_iters}")
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.attention_dim is not None and self.attention_dim < 1:
+            raise ConfigError(f"attention_dim must be None or >= 1, got {self.attention_dim}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         unknown = set(self.switch_overrides) - set(asdict(VariantSwitches()))
         if unknown:
             raise ConfigError(f"unknown switch overrides: {sorted(unknown)}")
+        for key, value in self.switch_overrides.items():
+            if not isinstance(value, bool):
+                raise ConfigError(f"switch override {key} must be true or false, got {value!r}")
 
     def switches(self) -> VariantSwitches:
-        sw = VariantSwitches.from_variant(self.variant)
-        for key, val in self.switch_overrides.items():
-            setattr(sw, key, bool(val))
+        sw = replace(VariantSwitches.from_variant(self.variant), **self.switch_overrides)
         sw.validate()
         return sw
 
@@ -274,7 +287,7 @@ class Selection(NamedTuple):
     residual: float = 0.0
 
 
-# (patient_id, level, Pipeline.scoring_key) -> Selection
+# (patient_id, level, Pipeline.scoring) -> Selection
 SelectionMemo = dict[tuple, Selection]
 
 
@@ -295,14 +308,15 @@ class FoldReport:
 
 
 class Pipeline:
-    """Holds one fold's parameters, queues, and selection caches.
+    """Holds one fold's parameters, queues, and per-patient constants.
 
-    `memo` maps (patient_id, level, scoring key) to the selection alignment
-    makes on that patient's raw bag. No parameter reaches those selections,
-    so one memo may serve every fold and every variant run on the same
-    cohort and prompt sets; patient ids must be unique within it. Only the
-    indices are shared: the token node, pooled evidence and prototype built
-    from them stay in this fold's patch cache.
+    A patient's constants (see `_constants`) are built on first use in this
+    fold; a later use under the same id with other bags is an error. `memo`
+    maps (patient_id, level, scoring) to the selection alignment makes on
+    that patient's raw bag. No parameter reaches those selections, so one memo
+    may serve every fold and every variant run on the same cohort and prompt
+    sets; patient ids must be unique within it. Only the indices are shared;
+    everything built from them stays in this fold's cache.
     """
 
     def __init__(self, prompts: dict[str, PromptSet], d: int, cfg: TrainConfig,
@@ -315,6 +329,12 @@ class Pipeline:
                                             (self.switches.use_regions and REGION not in prompts)):
             raise ConfigError("selection variants need prompt sets for the enabled levels")
         self.prompts = prompts
+        # everything besides the bag and the prompts that a selection reads
+        if self.switches.use_transport:
+            self.scoring = ("transport", cfg.r, cfg.epsilon, cfg.sinkhorn_tol,
+                            cfg.sinkhorn_max_iters)
+        else:
+            self.scoring = ("multi" if self.switches.multi_prompt else "single", cfg.r)
         self.params, self.head, self.gate, self.attn = build_parameters(
             d, cfg, self.switches, fold)
         self.adam = AdamState(self.params, lr=cfg.lr)
@@ -322,34 +342,23 @@ class Pipeline:
         self.queue_patch = MemoryQueue(cfg.queue_length)
         self.queue_region = MemoryQueue(cfg.queue_length)
         self.memo = {} if memo is None else memo
-        self._patch_cache: dict[str, tuple] = {}
+        self._cache: dict[str, tuple] = {}
         # level -> (selections used from non-converged solves, worst residual)
         self.unconverged: dict[str, tuple[int, float]] = {}
 
     # -- forward pieces ----------------------------------------------------
 
-    @property
-    def scoring_key(self) -> tuple:
-        """Everything besides the bag and the prompts that a selection reads."""
-        cfg = self.cfg
-        if self.switches.use_transport:
-            return ("transport", cfg.r, cfg.epsilon, cfg.sinkhorn_tol,
-                    cfg.sinkhorn_max_iters)
-        return ("multi" if self.switches.multi_prompt else "single", cfg.r)
-
     def _choose(self, tokens: np.ndarray, level: str) -> Selection:
         """Score tokens against the level's prompts and keep the top r."""
+        mode, r, *solver = self.scoring
         prompts = self.prompts[level].prompts
-        if self.switches.use_transport:
-            result = match_bag(tokens, prompts, self.cfg.r,
-                               epsilon=self.cfg.epsilon,
-                               tol=self.cfg.sinkhorn_tol,
-                               max_iters=self.cfg.sinkhorn_max_iters)
+        if mode == "transport":
+            result = match_bag(tokens, prompts, r, *solver)
             chosen = Selection(result.selected, result.converged, result.residual)
         else:
-            scores = (cosine_scores_multi if self.switches.multi_prompt
+            scores = (cosine_scores_multi if mode == "multi"
                       else cosine_scores_single)(tokens, prompts)
-            chosen = Selection(select_top(scores, self.cfg.r))
+            chosen = Selection(select_top(scores, r))
         chosen.indices.setflags(write=False)
         return chosen
 
@@ -362,30 +371,46 @@ class Pipeline:
 
     def _select(self, rec: PatientRecord, level: str) -> np.ndarray:
         """Selection on the patient's raw bag at `level`, solved once per memo."""
-        key = (rec.patient_id, level, self.scoring_key)
+        key = (rec.patient_id, level, self.scoring)
         chosen = self.memo.get(key)
         if chosen is None:
             bag = rec.patch_bag if level == PATCH else rec.region_bag
             chosen = self.memo[key] = self._choose(bag.tokens, level)
         return self._use(chosen, level)
 
-    def _patch_constants(self, rec: PatientRecord) -> tuple:
-        """Selected patch indices and token node, their pooling into regions
-        (gate on) and their prototype (contrast on, lambda > 0). No parameter
-        reaches them, so they are computed once per patient and cached."""
-        cached = self._patch_cache.get(rec.patient_id)
+    def _constants(self, rec: PatientRecord) -> tuple:
+        """The patch tokens the model reads (the selected ones; all of them in
+        A), their pooling into regions (gate on) and prototype (contrast on,
+        lambda > 0), the region bag (gate on) or its selected rows, and
+        (level, kept indices) per raw-bag selection. No parameter reaches
+        them, so they are built once per patient and cached with its bags."""
+        cached = self._cache.get(rec.patient_id)
         if cached is None:
-            idx = self._select(rec, PATCH)
-            selected = ad.constant(rec.patch_bag.tokens[idx])
-            pooled = prototype = None
-            if self.switches.use_gate:
-                pooled = ad.constant(pool_to_regions(
-                    selected.value, idx, rec.patch_bag.parent_region, rec.region_bag.size))
-            if self.switches.use_contrast and self.cfg.lam > 0.0:
-                prototype = make_prototype(selected, rec.patient_id)
-            cached = (idx, selected, pooled, prototype)
-            self._patch_cache[rec.patient_id] = cached
-        return cached
+            sw = self.switches
+            tokens, chosen = rec.patch_bag.tokens, ()
+            pooled = prototype = region = None
+            if sw.use_selection:
+                idx = self._select(rec, PATCH)
+                tokens, chosen = tokens[idx], ((PATCH, idx),)
+                if sw.use_gate:
+                    pooled = ad.constant(pool_to_regions(
+                        tokens, idx, rec.patch_bag.parent_region, rec.region_bag.size))
+            patch = ad.constant(tokens)
+            if sw.use_contrast and self.cfg.lam > 0.0:
+                prototype = make_prototype(patch, rec.patient_id)
+            if sw.use_regions:
+                region = ad.constant(rec.region_bag.tokens)
+                if not sw.use_gate:
+                    region_idx = self._select(rec, REGION)
+                    chosen += ((REGION, region_idx),)
+                    region = ad.gather_rows(region, region_idx)
+            cached = self._cache[rec.patient_id] = (
+                rec.patch_bag, rec.region_bag, patch, pooled, prototype, region, chosen)
+        elif cached[0] is not rec.patch_bag or cached[1] is not rec.region_bag:
+            raise DataValidationError(
+                f"patient {rec.patient_id} comes with other bags than the patient "
+                f"of that id already used in fold {self.fold}")
+        return cached[2:]
 
     def nonconvergence_flag(self) -> str | None:
         """One line naming, per level, how many selections this fold used
@@ -402,26 +427,16 @@ class Pipeline:
         Returns (hazard node, patch prototype as (node, queue entry) or None,
         selected region node or None, (level, kept indices) per selection).
         """
-        if not self.switches.use_selection:
-            pooled = attention_pool(ad.constant(rec.patch_bag.tokens), self.attn)
-            return hazards(pooled, self.head), None, None, []
-
-        patch_idx, patch_node, pooled, patch_proto = self._patch_constants(rec)
-        chosen = [(PATCH, patch_idx)]
-
-        region_node = None
-        if self.switches.use_regions:
-            region_input = ad.constant(rec.region_bag.tokens)
-            if self.switches.use_gate:
-                region_input = gate_fuse(pooled, region_input, self.gate)
-                region_idx = self._use(self._choose(region_input.value, REGION), REGION)
-            else:
-                region_idx = self._select(rec, REGION)
-            chosen.append((REGION, region_idx))
+        patch, pooled, patch_proto, region_node, chosen = self._constants(rec)
+        if self.switches.use_gate:
+            region_input = gate_fuse(pooled, region_node, self.gate)
+            region_idx = self._use(self._choose(region_input.value, REGION), REGION)
+            chosen += ((REGION, region_idx),)
             region_node = ad.gather_rows(region_input, region_idx)
-
-        fused = fuse(patch_node, region_node)
-        return hazards(fused, self.head), patch_proto, region_node, chosen
+        tokens = fuse(patch, region_node)
+        if self.attn is not None:
+            tokens = attention_pool(tokens, self.attn)
+        return hazards(tokens, self.head), patch_proto, region_node, chosen
 
     def patient_loss(self, rec: PatientRecord, update_queues: bool = True) -> ad.Node:
         """Total training loss node for one patient.
@@ -494,20 +509,25 @@ def train_fold(records: list[PatientRecord], prompts: dict[str, PromptSet],
     if not records:
         raise ConfigError("cannot train on an empty cohort")
     d = records[0].patch_bag.dim
+    _check_dims(records, d)
+    model = Pipeline(prompts, d, cfg, fold, memo=memo)
+    trace = model.train(records)
+    return model, trace
+
+
+def _check_dims(records: list[PatientRecord], d: int):
     for rec in records:
         if rec.patch_bag.dim != d or rec.region_bag.dim != d:
             raise ConfigError(
                 f"patient {rec.patient_id} has channel dim "
                 f"({rec.patch_bag.dim}, {rec.region_bag.dim}), expected {d}"
             )
-    model = Pipeline(prompts, d, cfg, fold, memo=memo)
-    trace = model.train(records)
-    return model, trace
 
 
 def evaluate_fold(model: Pipeline, records: list[PatientRecord],
                   trace: list[float], fold: int) -> FoldReport:
     """Score held-out records and assemble the fold report."""
+    _check_dims(records, model.d)
     risks = []
     riskeds = []
     selections = []
@@ -629,16 +649,20 @@ def run_ablation(records: list[PatientRecord], prompts: dict[str, PromptSet],
 
     The rungs share one selection memo: D-G select the same patch tokens,
     and B and C each keep their own cosine entries under their scoring key.
+    Every rung's config is checked before the first rung runs; switch
+    overrides are rejected, since each rung sets its own switches.
     """
-    unknown = [variant for variant in variants if variant not in VARIANTS]
-    if unknown:
-        raise ConfigError(f"unknown variant {unknown[0]!r}; expected letters of {VARIANTS}")
+    if not variants:
+        raise ConfigError("no variants to run")
+    if cfg.switch_overrides:
+        raise ConfigError(f"the ablation sets each rung's switches; got switch "
+                          f"overrides {sorted(cfg.switch_overrides)}")
+    rungs = [replace(cfg, variant=variant) for variant in variants]
     rows = []
     memo: SelectionMemo = {}
-    for variant in variants:
-        vcfg = replace(cfg, variant=variant, switch_overrides={})
-        _, summary = cross_validate(records, prompts, vcfg, k, memo=memo)
-        rows.append({"variant": variant, **summary})
+    for rung in rungs:
+        _, summary = cross_validate(records, prompts, rung, k, memo=memo)
+        rows.append({"variant": rung.variant, **summary})
     return rows
 
 

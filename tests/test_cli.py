@@ -49,6 +49,11 @@ class TestSynth:
         assert f"SynthSpec field {field} in {spec_path} " in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        assert run(["synth", "--seed", -1, "--out", tmp_path / "c"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
 
 class TestTrainAndCv:
     def test_train_single_split(self, cohort_dir, tmp_path, capsys):
@@ -161,6 +166,26 @@ class TestTrainAndCv:
         assert meta["config"]["lambda"] == 1.0
         assert isinstance(meta["config"]["lambda"], float)
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--variant", "A", "--attention-dim", -3], "attention_dim"),
+        (["--variant", "A", "--attention-dim", 0], "attention_dim"),
+        (["--seed", -1], "seed"),
+    ])
+    def test_numeric_edge_exit_code(self, cohort_dir, tmp_path, capsys, flags, field):
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json", "--out", tmp_path / "o",
+                    "--folds", 3, "--epochs", 1, "--n-bins", 3, *flags]) == 2
+        assert f"{field} must be " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_switch_override_must_be_boolean(self, cohort_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"variant": "G",
+                                        "switch_overrides": {"use_gate": "false"}}))
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json", "--out", tmp_path / "o",
+                    "--folds", 3, "--epochs", 1, "--n-bins", 3, "--config", cfg_path]) == 2
+        assert "switch override use_gate " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_manifest_exit_code(self, tmp_path):
         assert run(["cv", "--manifest", tmp_path / "nope.json",
                     "--out", tmp_path / "o"]) == 3
@@ -203,6 +228,19 @@ class TestAblate:
         assert [r["variant"] for r in rows] == ["A", "B"]
         stdout = capsys.readouterr().out
         assert "variant A" in stdout and "variant B" in stdout
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--variants", ""], "no variants"),
+        (["--variants", "G", "--variant", "A"], "--variant"),
+        (["--variants", "G", "--switch", "use_gate=false"], "use_gate"),
+    ])
+    def test_settings_the_ladder_would_drop_exit_code(self, cohort_dir, tmp_path, capsys,
+                                                      flags, message):
+        assert run(["ablate", "--manifest", cohort_dir / "manifest.json",
+                    "--out", tmp_path / "ab", "--folds", 3, "--epochs", 1,
+                    "--n-bins", 3, *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ab").exists()
 
 
 class TestKmExport:

@@ -98,6 +98,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sinkhorn_max_iters"):
             TrainConfig(sinkhorn_max_iters=value)
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_attention_dim_is_none_or_positive(self, value):
+        with pytest.raises(ConfigError, match="attention_dim"):
+            TrainConfig(variant="A", attention_dim=value)
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_switch_override_must_be_boolean(self, value):
+        with pytest.raises(ConfigError, match="use_gate"):
+            TrainConfig(switch_overrides={"use_gate": value})
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"epochs": 3, "lam": 0.5, "variant": "E"}))
@@ -282,6 +296,26 @@ class TestTraining:
             assert calls["patch_prototype"] == 0, variant
 
 
+    @pytest.mark.parametrize("variant", "ACDG")
+    def test_cached_patient_rejects_other_bags_under_its_id(self, variant):
+        records, prompts, _ = build_cohort(seed=11)
+        model, trace = train_fold(records[:12], prompts, fast_cfg(variant=variant))
+        others, _, _ = build_cohort(seed=3)
+        assert others[0].patient_id == records[0].patient_id
+        with pytest.raises(DataValidationError, match=others[0].patient_id):
+            evaluate_fold(model, others[:6], trace, fold=0)
+        fresh = [replace(r, patient_id=f"new-{r.patient_id}") for r in others[:6]]
+        assert len(evaluate_fold(model, fresh, trace, fold=0).risks) == 6
+
+    @pytest.mark.parametrize("variant", "ADG")
+    def test_heldout_channel_dim_checked_like_training(self, variant):
+        records, prompts, _ = build_cohort()
+        model, trace = train_fold(records[:12], prompts, fast_cfg(variant=variant))
+        narrow, _, _ = build_cohort(d=12, seed=3)
+        with pytest.raises(ConfigError, match=f"patient {narrow[0].patient_id} has channel dim"):
+            evaluate_fold(model, narrow[:6], trace, fold=0)
+
+
 class TestSplits:
     def test_folds_partition_cohort(self, small_cohort):
         records, _, _ = small_cohort
@@ -379,6 +413,20 @@ class TestAblation:
         assert calls == []
 
 
+    def test_switch_overrides_and_empty_ladder_rejected_before_any_rung(
+            self, small_cohort, monkeypatch):
+        records, prompts, _ = small_cohort
+        calls = []
+        monkeypatch.setattr(pipeline, "cross_validate",
+                            lambda *args, **kwargs: calls.append(args))
+        overridden = fast_cfg(epochs=1, switch_overrides={"use_gate": False})
+        with pytest.raises(ConfigError, match="use_gate"):
+            run_ablation(records, prompts, overridden, k=3, variants="G")
+        with pytest.raises(ConfigError, match="no variants"):
+            run_ablation(records, prompts, fast_cfg(epochs=1), k=3, variants="")
+        assert calls == []
+
+
 class TestSelectionMemo:
     @staticmethod
     def count_solves(monkeypatch, prompts):
@@ -457,6 +505,17 @@ class TestSelectionMemo:
         assert fold_flags(fast_cfg(epochs=1)) == [[], [], []]
         cosine = fast_cfg(epochs=1, variant="C", sinkhorn_max_iters=1)
         assert fold_flags(cosine) == [[], [], []]
+
+    def test_raw_bag_selections_count_once_per_patient_per_fold(self, small_cohort):
+        # after 2 epochs each fold has trained 16 patients twice and scored 8:
+        # a raw-bag selection counts once per patient, a gated one per use
+        records, prompts, _ = small_cohort
+        for variant, region in (("E", 24), ("G", 2 * 16 + 8)):
+            cfg = fast_cfg(epochs=2, variant=variant, sinkhorn_max_iters=1)
+            for report in cross_validate(records, prompts, cfg, k=3)[0]:
+                (flag,) = [f for f in report.flags if "non-converged" in f]
+                assert ": patch 24 (worst residual " in flag, flag
+                assert f"; region {region} (worst residual " in flag, flag
 
 
 class TestReports:
