@@ -4,21 +4,36 @@ Values are 2-D float64 numpy arrays ("matrices"). `Node` wraps a matrix
 together with a lazily allocated gradient buffer and references to the
 producing operation, so a backward sweep over the dynamically built graph
 accumulates gradients by the chain rule. The graph is rebuilt on every
-forward pass; nothing is retained between training steps.
+forward pass; nothing is retained between training steps. An optimizer may
+bind a parameter's value and gradient to views of its own flat buffers
+(see `optim.AdamState`); accumulation writes into them in place.
 
 All operations are deterministic: with identical inputs the forward values
 and backward gradients are bit-identical across runs. A graph belongs to
 one thread; wrapped matrices are treated as immutable and may be shared
 read-only, so independent graphs can run in parallel threads.
 
-The fused operations (`linear`, `lerp`, `cumprod_complement`,
-`l2_normalize_row`, `contrastive`, `neg_log_entry`) each replace a chain of
-elementary operations. Each performs the same floating-point operations, in
-the same order, as that chain, in its value and in every gradient it
-accumulates, so the graph is bit-identical to the chain's, with fewer nodes.
-A sum of two gradient terms commutes, but where an input receives three or
-more, the fused op accumulates them one at a time in the chain's order. A
-public operation never calls another, so each call builds one node.
+Each fused operation replaces a chain of elementary ones; the model builds
+one node per module:
+
+- `linear`: matmul, then add of the bias row;
+- `gate_blend`: concat_cols, three `linear`, sigmoid, two tanh and lerp;
+- `gated_attention`: three matmul, tanh, sigmoid, mul, softmax_cols and
+  transpose;
+- `mean_logistic`: mean_rows, `linear` and sigmoid;
+- `cumprod_complement`: one 1 - h and running product per column;
+- `neg_log_sum`: one neg(log(clamp_min(entry))) per term, then add;
+- `normalized_col_sum`: sum_cols, then division by the Euclidean norm;
+- `contrastive`: the two-product, exp, log-sum chain of one loss direction.
+
+Each performs the same floating-point operations, in the same order, as its
+chain, in its value and in every gradient it accumulates, so the graph is
+bit-identical to the chain's, with fewer nodes. A sum of two gradient terms
+commutes, but where an input receives three or more, the fused op
+accumulates them one at a time in the chain's order. A public operation
+never calls another, so each call builds one node. The chains, and the
+elementary operations no library code calls, live with the tests as the
+reference the fused operations are checked against (`tests/ad_chain.py`).
 """
 
 from __future__ import annotations
@@ -44,7 +59,8 @@ class Node:
     """One vertex of the computation graph.
 
     Holds a matrix value, a gradient buffer of the same shape (allocated on
-    first accumulation), and the backward closure of the op that produced it.
+    first accumulation, unless an optimizer bound one), and the backward
+    closure of the op that produced it.
     Leaf nodes with requires_grad=True are trainable parameters.
     """
 
@@ -67,8 +83,10 @@ class Node:
 
     def accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # the bits of zeros + g (a -0.0 becomes 0.0) in one allocation
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.value))
+        else:
+            self.grad += g
 
     def backward(self):
         """Reverse sweep from this node, seeding with ones.
@@ -88,20 +106,19 @@ class Node:
 
 
 def _toposort(root: Node):
-    """Iterative postorder over the parent DAG (each node once)."""
-    order, visited, stack = [], set(), [(root, False)]
+    """Postorder over the parent DAG, each node once: a depth-first walk
+    that enters a node's parents from the last to the first."""
+    order, visited, stack = [], {root}, [(root, reversed(root._parents))]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node, parents = stack[-1]
+        for parent in parents:
+            if parent not in visited:
+                visited.add(parent)
+                stack.append((parent, reversed(parent._parents)))
+                break
+        else:
+            stack.pop()
             order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
     return order
 
 
@@ -127,30 +144,7 @@ def _make(value: np.ndarray, parents, backward) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# core operations
-
-
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.value.shape} x {b.value.shape}")
-    value = a.value @ b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.value.T)
-        if b.requires_grad:
-            b.accumulate(a.value.T @ g)
-
-    return _make(value, (a, b), backward)
-
-
-def transpose(a: Node) -> Node:
-    value = np.ascontiguousarray(a.value.T)
-
-    def backward(g):
-        a.accumulate(g.T)
-
-    return _make(value, (a,), backward)
+# elementary operations
 
 
 def add(a: Node, b: Node) -> Node:
@@ -166,19 +160,6 @@ def add(a: Node, b: Node) -> Node:
     return _make(value, (a, b), backward)
 
 
-def mul(a: Node, b: Node) -> Node:
-    _require_same_shape("mul", a, b)
-    value = a.value * b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * b.value)
-        if b.requires_grad:
-            b.accumulate(g * a.value)
-
-    return _make(value, (a, b), backward)
-
-
 def scale(a: Node, factor: float) -> Node:
     factor = float(factor)
 
@@ -189,57 +170,12 @@ def scale(a: Node, factor: float) -> Node:
 
 
 def sigmoid(a: Node) -> Node:
-    x = a.value
-    value = np.empty_like(x)
-    pos = x >= 0
-    value[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    value[~pos] = ex / (1.0 + ex)
+    value = _sigmoid(a.value)
 
     def backward(g):
         a.accumulate(g * value * (1.0 - value))
 
     return _make(value, (a,), backward)
-
-
-def tanh(a: Node) -> Node:
-    value = np.tanh(a.value)
-
-    def backward(g):
-        a.accumulate(g * (1.0 - value * value))
-
-    return _make(value, (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def sum_cols(a: Node) -> Node:
-    """Per-column totals, summing over the row index: MxN -> 1xN row."""
-    _require_nonempty("sum_cols", a)
-    value = a.value.sum(axis=0, keepdims=True)
-
-    def backward(g):
-        a.accumulate(np.broadcast_to(g, a.value.shape).copy())
-
-    return _make(value, (a,), backward)
-
-
-def mean_rows(a: Node) -> Node:
-    """Mean over the row index: MxN -> 1xN row (column means)."""
-    _require_nonempty("mean_rows", a)
-    m = a.value.shape[0]
-    value = a.value.mean(axis=0, keepdims=True)
-
-    def backward(g):
-        a.accumulate(np.broadcast_to(g / m, a.value.shape).copy())
-
-    return _make(value, (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# structure
 
 
 def concat_rows(a: Node, b: Node) -> Node:
@@ -255,23 +191,6 @@ def concat_rows(a: Node, b: Node) -> Node:
             a.accumulate(g[:split])
         if b.requires_grad:
             b.accumulate(g[split:])
-
-    return _make(value, (a, b), backward)
-
-
-def concat_cols(a: Node, b: Node) -> Node:
-    if a.value.shape[0] != b.value.shape[0]:
-        raise ShapeError(
-            f"concat_cols row mismatch: {a.value.shape} vs {b.value.shape}"
-        )
-    value = np.concatenate([a.value, b.value], axis=1)
-    split = a.value.shape[1]
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g[:, :split])
-        if b.requires_grad:
-            b.accumulate(g[:, split:])
 
     return _make(value, (a, b), backward)
 
@@ -295,69 +214,137 @@ def gather_rows(a: Node, indices) -> Node:
     return _make(value, (a,), backward)
 
 
-def softmax_cols(a: Node) -> Node:
-    """Column-wise softmax, stabilized by per-column max subtraction."""
-    _require_nonempty("softmax_cols", a)
-    shifted = a.value - a.value.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    value = e / e.sum(axis=0, keepdims=True)
-
-    def backward(g):
-        inner = (value * g).sum(axis=0, keepdims=True)
-        a.accumulate(value * (g - inner))
-
-    return _make(value, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # fused operations
 
 
 def linear(x: Node, weight: Node, bias: Node) -> Node:
     """x @ weight + bias, with the 1xD bias row repeated across the rows of x."""
-    xs, ws, bs = x.value.shape, weight.value.shape, bias.value.shape
-    if xs[1] != ws[0] or bs != (1, ws[1]):
-        raise ShapeError(f"linear shape mismatch: {xs} @ {ws} + {bs}")
+    _require_linear(x.value, weight, bias)
     value = x.value @ weight.value + bias.value
 
     def backward(g):
         if x.requires_grad:
             x.accumulate(g @ weight.value.T)
-        if weight.requires_grad:
-            weight.accumulate(x.value.T @ g)
-        if bias.requires_grad:
-            # a ones-row product, not g.sum(axis=0): the two round differently
-            bias.accumulate(np.ones((1, xs[0])) @ g)
+        _linear_params_backward(x.value, weight, bias, g)
 
     return _make(value, (x, weight, bias), backward)
 
 
-def lerp(w: Node, a: Node, b: Node) -> Node:
-    """Entrywise blend w * a + (1 - w) * b."""
-    _require_same_shape("lerp", w, a)
-    _require_same_shape("lerp", w, b)
-    rest = 1.0 - w.value
-    value = w.value * a.value + rest * b.value
+def gate_blend(pooled: Node, regions: Node, w_gate: Node, b_gate: Node,
+               w_patch: Node, b_patch: Node, w_region: Node, b_region: Node) -> Node:
+    """lerp(sigmoid(linear([pooled, regions], w_gate, b_gate)),
+    tanh(linear(pooled, w_patch, b_patch)), tanh(linear(regions, w_region, b_region))),
+    with [pooled, regions] the two inputs side by side."""
+    pv, rv = pooled.value, regions.value
+    if pv.shape[0] != rv.shape[0]:
+        raise ShapeError(f"gate_blend row mismatch: {pv.shape} vs {rv.shape}")
+    stacked = np.concatenate([pv, rv], axis=1)
+    _require_linear(stacked, w_gate, b_gate)
+    gate = _sigmoid(stacked @ w_gate.value + b_gate.value)
+    _require_linear(pv, w_patch, b_patch)
+    patch = np.tanh(pv @ w_patch.value + b_patch.value)
+    _require_linear(rv, w_region, b_region)
+    region = np.tanh(rv @ w_region.value + b_region.value)
+    if gate.shape != patch.shape or gate.shape != region.shape:
+        raise ShapeError(f"gate_blend stream shape mismatch: {gate.shape} vs {patch.shape} "
+                         f"vs {region.shape}")
+    rest = 1.0 - gate
+    value = gate * patch + rest * region
+    split = pv.shape[1]
 
     def backward(g):
-        if w.requires_grad:
-            w.accumulate(g * a.value - g * b.value)
-        if a.requires_grad:
-            a.accumulate(g * w.value)
-        if b.requires_grad:
-            b.accumulate(g * rest)
+        g_gate = g * patch - g * region
+        g_gate = g_gate * gate * (1.0 - gate)
+        g_patch = g * gate * (1.0 - patch * patch)
+        g_region = g * rest * (1.0 - region * region)
+        if pooled.requires_grad or regions.requires_grad:
+            g_stacked = g_gate @ w_gate.value.T
+        _linear_params_backward(stacked, w_gate, b_gate, g_gate)
+        if pooled.requires_grad:
+            pooled.accumulate(g_stacked[:, :split])
+            pooled.accumulate(g_patch @ w_patch.value.T)
+        _linear_params_backward(pv, w_patch, b_patch, g_patch)
+        if regions.requires_grad:
+            regions.accumulate(g_stacked[:, split:])
+            regions.accumulate(g_region @ w_region.value.T)
+        _linear_params_backward(rv, w_region, b_region, g_region)
 
-    return _make(value, (w, a, b), backward)
+    return _make(value, (pooled, regions, w_gate, b_gate, w_patch, b_patch,
+                         w_region, b_region), backward)
+
+
+def gated_attention(bag: Node, v: Node, u: Node, w: Node) -> Node:
+    """Gated-attention pooling, weights^T @ bag with
+    weights = softmax_cols((tanh(bag @ v) * sigmoid(bag @ u)) @ w): MxD -> 1xD."""
+    b = bag.value
+    _require_matmul(b, v.value)
+    t = np.tanh(b @ v.value)
+    _require_matmul(b, u.value)
+    s = _sigmoid(b @ u.value)
+    if t.shape != s.shape:
+        raise ShapeError(f"gated_attention branch shape mismatch: {t.shape} vs {s.shape}")
+    gated = t * s
+    _require_matmul(gated, w.value)
+    scores = gated @ w.value
+    if scores.size == 0:
+        raise EmptyInputError(f"gated_attention on an empty bag of shape {b.shape}")
+    e = np.exp(scores - scores.max(axis=0, keepdims=True))
+    weights = e / e.sum(axis=0, keepdims=True)
+    weights_t = np.ascontiguousarray(weights.T)
+    value = weights_t @ b
+
+    def backward(g):
+        # the chain's order: bag's three terms arrive from the pooling product,
+        # then the tanh branch, then the sigmoid branch
+        if bag.requires_grad:
+            bag.accumulate(weights_t.T @ g)
+        g_weights = (g @ b.T).T
+        inner = (weights * g_weights).sum(axis=0, keepdims=True)
+        g_scores = weights * (g_weights - inner)
+        if w.requires_grad:
+            w.accumulate(gated.T @ g_scores)
+        g_gated = g_scores @ w.value.T
+        g_t = g_gated * s * (1.0 - t * t)
+        if bag.requires_grad:
+            bag.accumulate(g_t @ v.value.T)
+        if v.requires_grad:
+            v.accumulate(b.T @ g_t)
+        g_s = g_gated * t * s * (1.0 - s)
+        if bag.requires_grad:
+            bag.accumulate(g_s @ u.value.T)
+        if u.requires_grad:
+            u.accumulate(b.T @ g_s)
+
+    return _make(value, (bag, v, u, w), backward)
+
+
+def mean_logistic(x: Node, weight: Node, bias: Node) -> Node:
+    """sigmoid(linear(column means of x, weight, bias)): MxD -> 1xT."""
+    _require_nonempty("mean_logistic", x)
+    m = x.value.shape[0]
+    pooled = np.add.reduce(x.value, axis=0, keepdims=True) / m  # the column means
+    _require_linear(pooled, weight, bias)
+    value = _sigmoid(pooled @ weight.value + bias.value)
+
+    def backward(g):
+        g_logit = g * value * (1.0 - value)
+        if x.requires_grad:
+            x.accumulate(np.broadcast_to((g_logit @ weight.value.T) / m, x.value.shape))
+        _linear_params_backward(pooled, weight, bias, g_logit)
+
+    return _make(value, (x, weight, bias), backward)
 
 
 def cumprod_complement(h: Node) -> Node:
     """Running product along each row of (1 - h): out[:, t] = prod_{s<=t} (1 - h[:, s])."""
     _require_nonempty("cumprod_complement", h)
     rest = 1.0 - h.value
-    value = np.cumprod(rest, axis=1)
-    before = np.concatenate([np.ones((h.value.shape[0], 1)), value[:, :-1]], axis=1)
+    value = np.multiply.accumulate(rest, axis=1)
 
     def backward(g):
+        before = np.ones_like(value)  # each running product's predecessor
+        before[:, 1:] = value[:, :-1]
         carried = g.copy()  # each running product's gradient, from the last back
         for t in range(g.shape[1] - 2, -1, -1):
             carried[:, t] += carried[:, t + 1] * rest[:, t + 1]
@@ -366,9 +353,36 @@ def cumprod_complement(h: Node) -> Node:
     return _make(value, (h,), backward)
 
 
-def l2_normalize_row(row: Node) -> Node:
-    """A 1xD row divided by its Euclidean norm; a zero row has no direction."""
-    s = row.value
+def neg_log_sum(entries, floor: float) -> Node:
+    """Sum over (row, col) pairs, in order, of -log(max(row[0, col], floor)) as
+    a 1x1 node, each 1xT row a node; no gradient at or below the floor."""
+    floor = float(floor)
+    terms, value = [], None
+    for row, col in entries:
+        if row.value.shape[0] != 1 or not 0 <= col < row.value.shape[1]:
+            raise ShapeError(f"neg_log_sum: column {col} outside a row of shape "
+                             f"{row.value.shape}")
+        entry = row.value[:, col:col + 1]
+        clamped = np.maximum(entry, floor)
+        term = -_checked_log(clamped)
+        value = term if value is None else value + term
+        terms.append((row, col, clamped, entry > floor))
+
+    def backward(g):
+        for row, col, clamped, above in terms:
+            if row.requires_grad:
+                buf = np.zeros_like(row.value)
+                buf[:, col:col + 1] += (-g / clamped) * above
+                row.accumulate(buf)
+
+    return _make(value, tuple(row for row, _, _, _ in terms), backward)
+
+
+def normalized_col_sum(a: Node) -> Node:
+    """The column sums of a (a 1xD row) divided by their Euclidean norm; a zero
+    sum has no direction."""
+    _require_nonempty("normalized_col_sum", a)
+    s = a.value.sum(axis=0, keepdims=True)
     sq_norm = np.array([[(s * s).sum()]])
     if sq_norm[0, 0] == 0.0:
         raise DegenerateInputError("cannot normalize a zero row")
@@ -378,9 +392,9 @@ def l2_normalize_row(row: Node) -> Node:
     def backward(g):
         g_sq = ((-0.5 * ((g @ s.T) * inv_norm)) / sq_norm)[0, 0]
         # the chain's order: the direct term, then one term per factor of s * s
-        row.accumulate(inv_norm.T @ g + g_sq * s + g_sq * s)
+        a.accumulate(np.broadcast_to(inv_norm.T @ g + g_sq * s + g_sq * s, a.value.shape))
 
-    return _make(value, (row,), backward)
+    return _make(value, (a,), backward)
 
 
 def contrastive(anchor: Node, positive: Node, negatives, temperature: float) -> Node:
@@ -421,35 +435,45 @@ def contrastive(anchor: Node, positive: Node, negatives, temperature: float) -> 
     return _make(value, (anchor, positive), backward)
 
 
-def neg_log_entry(row: Node, col: int, floor: float) -> Node:
-    """-log(max(row[0, col], floor)) as a 1x1 node; no gradient at or below the floor."""
-    if row.value.shape[0] != 1 or not 0 <= col < row.value.shape[1]:
-        raise ShapeError(f"neg_log_entry: column {col} outside a row of shape {row.value.shape}")
-    floor = float(floor)
-    entry = row.value[:, col:col + 1]
-    above = entry > floor
-    clamped = np.maximum(entry, floor)
-    value = -_checked_log(clamped)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The stable logistic: 1 / (1 + e) where x >= 0 and e / (1 + e) below,
+    with e = exp(-|x|), which is exp(-x) on the first branch, exp(x) on the
+    second, so neither overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
-    def backward(g):
-        buf = np.zeros_like(row.value)
-        buf[:, col:col + 1] += (-g / clamped) * above
-        row.accumulate(buf)
 
-    return _make(value, (row,), backward)
+def _linear_params_backward(x: np.ndarray, weight: Node, bias: Node, g: np.ndarray):
+    """The weight and bias terms of the backward of x @ weight + bias."""
+    if weight.requires_grad:
+        weight.accumulate(x.T @ g)
+    if bias.requires_grad:
+        # a ones-row product, not g.sum(axis=0): the two round differently
+        bias.accumulate(np.ones((1, x.shape[0])) @ g)
+
+
+def _require_linear(x: np.ndarray, weight: Node, bias: Node):
+    xs, ws, bs = x.shape, weight.value.shape, bias.value.shape
+    if xs[1] != ws[0] or bs != (1, ws[1]):
+        raise ShapeError(f"linear shape mismatch: {xs} @ {ws} + {bs}")
+
+
+def _require_matmul(a: np.ndarray, b: np.ndarray):
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
 
 def _checked_exp(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         value = np.exp(x)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         idx = np.argwhere(~np.isfinite(value))[0]
         raise DomainError(f"exp overflow at entry {tuple(int(i) for i in idx)}")
     return value
 
 
 def _checked_log(x: np.ndarray) -> np.ndarray:
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         idx = np.argwhere(x <= 0.0)[0]
         raise DomainError(f"log of non-positive entry at {tuple(int(i) for i in idx)}")
     return np.log(x)

@@ -8,13 +8,13 @@ together and pushes against queued prototypes of other patients.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateInputError
+from .autodiff import normalized_col_sum
+from .errors import DegenerateInputError, ShapeError
 
 
 @dataclass
@@ -31,7 +31,7 @@ def prototype_node(selected: ad.Node) -> ad.Node:
     Differentiable through both the sum and the normalization; raises on a
     zero-sum token set (no direction to normalize).
     """
-    return ad.l2_normalize_row(ad.sum_cols(selected))
+    return normalized_col_sum(selected)
 
 
 def make_prototype(selected: ad.Node, patient_id: str) -> tuple[ad.Node, Prototype]:
@@ -43,8 +43,9 @@ def make_prototype(selected: ad.Node, patient_id: str) -> tuple[ad.Node, Prototy
 class MemoryQueue:
     """FIFO buffer of detached prototypes with capacity B-1.
 
-    Pushing beyond capacity evicts strictly oldest-first. Stored vectors
-    are plain arrays: no gradient ever reaches queue contents.
+    Pushing beyond capacity evicts strictly oldest-first. The vectors sit in
+    one (capacity x d) array, oldest first, sized by the first push into an
+    empty queue; no gradient ever reaches queue contents.
     """
 
     def __init__(self, queue_length: int):
@@ -53,28 +54,40 @@ class MemoryQueue:
                 f"queue length must be >= 2 (capacity B-1 >= 1), got {queue_length}"
             )
         self.capacity = queue_length - 1
-        self._entries: deque[Prototype] = deque()
+        self._ids: list[str] = []
+        self._vectors = np.empty((self.capacity, 0))
 
     def push(self, proto: Prototype):
-        self._entries.append(proto)
-        if len(self._entries) > self.capacity:
-            self._entries.popleft()
+        n = len(self._ids)
+        if n == 0:
+            self._vectors = np.empty((self.capacity, *proto.vector.shape))
+        elif proto.vector.shape != self._vectors.shape[1:]:
+            raise ShapeError(f"prototype of shape {proto.vector.shape} pushed into a "
+                             f"queue of shape {self._vectors.shape[1:]} prototypes")
+        if n == self.capacity:
+            self._vectors[:-1] = self._vectors[1:]
+            del self._ids[0]
+            n -= 1
+        self._vectors[n] = proto.vector
+        self._ids.append(proto.patient_id)
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._ids)
 
     def entries(self) -> list[Prototype]:
-        return list(self._entries)
+        return [Prototype(vector=vector.copy(), patient_id=pid)
+                for pid, vector in zip(self._ids, self._vectors)]
 
     def negatives_for(self, patient_id: str) -> np.ndarray:
-        """Stacked vectors of all queued prototypes from other patients (K x d)."""
-        vecs = [p.vector for p in self._entries if p.patient_id != patient_id]
-        if not vecs:
+        """The queued vectors of all other patients, oldest first (K x d), as
+        a copy: the loss keeps them, and a later push moves rows."""
+        keep = [i for i, pid in enumerate(self._ids) if pid != patient_id]
+        if not keep:
             return np.zeros((0, 0))
-        return np.stack(vecs, axis=0)
+        return self._vectors[keep]
 
     def clear(self):
-        self._entries.clear()
+        self._ids.clear()
 
 
 def contrastive_loss(anchor: ad.Node, positive: ad.Node,

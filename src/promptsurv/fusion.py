@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import linear
+from .autodiff import gate_blend, linear  # noqa: F401  (linear: each stream's map)
 from .errors import DataValidationError
 
 
@@ -55,10 +55,7 @@ def gate_fuse(pooled: ad.Node, region_bag: ad.Node, params: GateParams) -> ad.No
 
     G = sigmoid([pooled ; regions] @ w_gate + b_gate) gates a convex,
     elementwise combination of the two tanh-projected streams, so every
-    output entry stays strictly inside (-1, 1).
+    output entry stays strictly inside (-1, 1). One graph node.
     """
-    stacked = ad.concat_cols(pooled, region_bag)
-    gate = ad.sigmoid(linear(stacked, params.w_gate, params.b_gate))
-    patch_stream = ad.tanh(linear(pooled, params.w_patch, params.b_patch))
-    region_stream = ad.tanh(linear(region_bag, params.w_region, params.b_region))
-    return ad.lerp(gate, patch_stream, region_stream)
+    return gate_blend(pooled, region_bag, params.w_gate, params.b_gate,
+                      params.w_patch, params.b_patch, params.w_region, params.b_region)

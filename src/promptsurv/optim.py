@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter nodes."""
+"""Adam optimizer over named parameter nodes, on flat buffers."""
 
 from __future__ import annotations
 
@@ -9,10 +9,18 @@ from .errors import ShapeError, TrainingError
 
 
 class AdamState:
-    """Bias-corrected Adam with per-parameter moment buffers.
+    """Bias-corrected Adam with one contiguous buffer per quantity.
 
     Defaults follow the usual convention: beta1=0.9, beta2=0.999, eps=1e-8.
-    The step counter increases by one on every call to `step`.
+    The step counter increases by one on every call to `step` that succeeds.
+
+    Parameter values, gradients and both moments each live in one float64
+    buffer, and every parameter's `value` and `grad` are views into the
+    first two, so a step is a dozen whole-buffer numpy calls however many
+    parameters there are. Adam is elementwise, so the update is bit-identical
+    to a per-parameter one. A value or gradient a caller rebinds is
+    shape-checked and copied in at the next step (a None gradient, as
+    `Node.zero_grad` leaves, as zeros).
     """
 
     def __init__(self, params: dict[str, Node], lr: float = 2e-4,
@@ -23,38 +31,62 @@ class AdamState:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self._m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        size = sum(p.value.size for p in params.values())
+        self._values, self._update, self._denom = np.empty(size), np.empty(size), np.empty(size)
+        self._grads, self._m, self._v = np.zeros(size), np.zeros(size), np.zeros(size)
+        self._views = []  # (key, node, value view, gradient view)
+        start = 0
+        for key, p in params.items():
+            stop = start + p.value.size
+            value = self._values[start:stop].reshape(p.value.shape)
+            value[...], p.value = p.value, value
+            self._views.append((key, p, value, self._grads[start:stop].reshape(value.shape)))
+            start = stop
 
     def step(self):
         """Apply one update using the gradients currently stored on the params.
 
         Parameters with no accumulated gradient are treated as having zero
         gradient (their moments decay but values only move by the eps term,
-        which is exactly zero when the moments are still zero).
+        which is exactly zero when the moments are still zero). A non-finite
+        gradient raises, naming the first such parameter, before any value,
+        moment or the step counter moves.
         """
+        for key, p, value, grad in self._views:
+            if p.value is not value:
+                value[...], p.value = _checked_shape(p.value, value, "value", key), value
+            if p.grad is not grad:
+                grad[...] = 0.0 if p.grad is None else _checked_shape(p.grad, grad, "gradient", key)
+                p.grad = grad
+        g = self._grads
+        if not np.isfinite(g).all():
+            key = next(key for key, _, _, grad in self._views if not np.isfinite(grad).all())
+            raise TrainingError(f"non-finite gradient for parameter {key!r}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for key, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            if g.shape != p.value.shape:
-                raise ShapeError(
-                    f"gradient shape {g.shape} != parameter shape {p.value.shape} for {key!r}"
-                )
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {key!r}")
-            m = self._m[key]
-            v = self._v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, update, denom = self._m, self._v, self._update, self._denom
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=update)
+        v *= self.beta2
+        np.multiply(g, g, out=update)
+        update *= 1.0 - self.beta2
+        v += update
+        np.divide(m, 1.0 - self.beta1 ** t, out=update)  # m_hat
+        update *= self.lr
+        np.divide(v, 1.0 - self.beta2 ** t, out=denom)   # v_hat
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        self._values -= update
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
+        self._grads.fill(0.0)
+        for _, p, _, grad in self._views:
+            p.grad = grad
+
+
+def _checked_shape(array, view: np.ndarray, what: str, key: str):
+    if np.shape(array) != view.shape:
+        raise ShapeError(
+            f"{what} shape {np.shape(array)} != parameter shape {view.shape} for {key!r}")
+    return array

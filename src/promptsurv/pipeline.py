@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import gated_attention
 from .alignment import (
     SINKHORN_EPSILON,
     SINKHORN_MAX_ITERS,
@@ -53,7 +54,7 @@ from .alignment import (
     select_top,
 )
 from .contrast import MemoryQueue, make_prototype, mutual_contrastive_loss
-from .data import (PATCH, REGION, PatientRecord, PromptSet, read_settings,
+from .data import (PATCH, REGION, FeatureBag, PatientRecord, PromptSet, read_settings,
                    require_unique_ids, write_json)
 from .errors import (ConfigError, DataValidationError, DegenerateInputError, MetricError,
                      TrainingError)
@@ -230,9 +231,7 @@ class AttnParams:
 
 def attention_pool(bag: ad.Node, attn: AttnParams) -> ad.Node:
     """ABMIL-style gated attention: softmax-weighted token mean (1 x d)."""
-    gated = ad.mul(ad.tanh(ad.matmul(bag, attn.v)), ad.sigmoid(ad.matmul(bag, attn.u)))
-    weights = ad.softmax_cols(ad.matmul(gated, attn.w))  # M x 1
-    return ad.matmul(ad.transpose(weights), bag)
+    return gated_attention(bag, attn.v, attn.u, attn.w)
 
 
 def _stream(seed: int, fold: int, tag: str) -> np.random.Generator:
@@ -287,8 +286,8 @@ class Selection(NamedTuple):
     residual: float = 0.0
 
 
-# (patient_id, level, Pipeline.scoring) -> Selection
-SelectionMemo = dict[tuple, Selection]
+# (patient_id, level, Pipeline.scoring) -> (bag, prompt set, the Selection made from them)
+SelectionMemo = dict[tuple, tuple[FeatureBag, PromptSet, Selection]]
 
 
 @dataclass
@@ -312,11 +311,12 @@ class Pipeline:
 
     A patient's constants (see `_constants`) are built on first use in this
     fold; a later use under the same id with other bags is an error. `memo`
-    maps (patient_id, level, scoring) to the selection alignment makes on
-    that patient's raw bag. No parameter reaches those selections, so one memo
-    may serve every fold and every variant run on the same cohort and prompt
-    sets; patient ids must be unique within it. Only the indices are shared;
-    everything built from them stays in this fold's cache.
+    maps (patient_id, level, scoring) to the raw bag and prompt set and the
+    selection alignment makes from them. No parameter reaches those
+    selections, so one memo may serve every fold and every variant run on the
+    same cohort and prompt sets; a hit with another bag or prompt set object
+    under the same id is an error. Only the indices are shared; everything
+    built from them stays in this fold's cache.
     """
 
     def __init__(self, prompts: dict[str, PromptSet], d: int, cfg: TrainConfig,
@@ -370,13 +370,20 @@ class Pipeline:
         return chosen.indices
 
     def _select(self, rec: PatientRecord, level: str) -> np.ndarray:
-        """Selection on the patient's raw bag at `level`, solved once per memo."""
+        """Selection on the patient's raw bag at `level`, solved once per memo.
+        A memo entry holds the bag and the prompt set it was solved from; a hit
+        under the same id with others is an error."""
         key = (rec.patient_id, level, self.scoring)
-        chosen = self.memo.get(key)
-        if chosen is None:
-            bag = rec.patch_bag if level == PATCH else rec.region_bag
-            chosen = self.memo[key] = self._choose(bag.tokens, level)
-        return self._use(chosen, level)
+        bag = rec.patch_bag if level == PATCH else rec.region_bag
+        prompt_set = self.prompts[level]
+        entry = self.memo.get(key)
+        if entry is None:
+            entry = self.memo[key] = (bag, prompt_set, self._choose(bag.tokens, level))
+        elif entry[0] is not bag or entry[1] is not prompt_set:
+            raise DataValidationError(
+                f"patient {rec.patient_id} comes with another {level} bag or prompt set "
+                f"than the patient of that id whose selection the memo holds")
+        return self._use(entry[2], level)
 
     def _constants(self, rec: PatientRecord) -> tuple:
         """The patch tokens the model reads (the selected ones; all of them in

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import mean_logistic, neg_log_sum
 from .errors import ConfigError
 
 LOG_CLAMP = 1e-12
@@ -46,8 +47,7 @@ def fuse(selected_patch: ad.Node, selected_region: ad.Node | None) -> ad.Node:
 
 def hazards(fused: ad.Node, head: HeadParams) -> ad.Node:
     """Per-bin hazard probabilities: sigmoid(linear(mean-pooled tokens))."""
-    pooled = ad.mean_rows(fused)  # 1 x d
-    return ad.sigmoid(ad.linear(pooled, head.weight, head.bias))
+    return mean_logistic(fused, head.weight, head.bias)
 
 
 def survival_curve(h: ad.Node) -> ad.Node:
@@ -65,17 +65,16 @@ def nll_loss(h: ad.Node, s: ad.Node, censor: int, time_bin: int) -> ad.Node:
 
     Censored (c=1): -log S(t). Event (c=0): -log S(t-1) - log h(t), with
     S(0) = 1. Log arguments are clamped at 1e-12, so the loss is finite and
-    nonnegative for all hazard values.
+    nonnegative for all hazard values. One graph node.
     """
     n_bins = h.shape[1]
     if not 1 <= time_bin <= n_bins:
         raise ConfigError(f"time_bin {time_bin} outside [1, {n_bins}]")
     if censor == 1:
-        return ad.neg_log_entry(s, time_bin - 1, LOG_CLAMP)
-    loss = ad.neg_log_entry(h, time_bin - 1, LOG_CLAMP)
-    if time_bin > 1:
-        loss = ad.add(loss, ad.neg_log_entry(s, time_bin - 2, LOG_CLAMP))
-    return loss
+        entries = [(s, time_bin - 1)]
+    else:
+        entries = [(h, time_bin - 1)] + ([(s, time_bin - 2)] if time_bin > 1 else [])
+    return neg_log_sum(entries, LOG_CLAMP)
 
 
 def risk_score(s_values: np.ndarray) -> float:

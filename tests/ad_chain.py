@@ -1,10 +1,15 @@
-"""The autodiff engine plus six elementary ops that only the tests use.
+"""The autodiff engine plus the operations that only the tests use.
 
-`neg`, `exp`, `log`, `clamp_min`, `sum_all` and `sum_rows` build the
-reference chains that the fused ops are checked against bit for bit, and
-the scalar losses handed to `grad_check`. No library code calls them, so
-they live here, unchanged. Test modules import this module as `ad` in place
-of `promptsurv.autodiff`; every other name is the library's own.
+The elementary ops here (`neg`, `exp`, `log`, `clamp_min`, `sum_all`,
+`sum_rows`, `matmul`, `transpose`, `mul`, `tanh`, `sum_cols`, `mean_rows`,
+`concat_cols`, `softmax_cols`) and the fused `lerp`, `l2_normalize_row` and
+`neg_log_entry` build the reference chains that the library's fused ops are
+checked against bit for bit, and the scalar losses handed to `grad_check`.
+No library code calls them, so they live here. The `*_chain` functions at
+the end compose them into the chain each of the library's module-level fused
+ops replaces, with the same signature. Test modules import this module as
+`ad` in place of `promptsurv.autodiff`; every other name is the library's
+own.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from promptsurv.autodiff import *  # noqa: F401,F403
-from promptsurv.autodiff import Node, _checked_exp, _checked_log, _make, _require_nonempty
+from promptsurv.autodiff import (Node, _checked_exp, _checked_log, _make,
+                                 _require_nonempty, _require_same_shape)
+from promptsurv.errors import DegenerateInputError, ShapeError
 
 
 def neg(a: Node) -> Node:
@@ -78,3 +85,190 @@ def sum_rows(a: Node) -> Node:
             a.accumulate(np.broadcast_to(g, a.value.shape).copy())
 
     return _make(value, (a,), backward)
+
+
+def matmul(a: Node, b: Node) -> Node:
+    if a.value.shape[1] != b.value.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.value.shape} x {b.value.shape}")
+    value = a.value @ b.value
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g @ b.value.T)
+        if b.requires_grad:
+            b.accumulate(a.value.T @ g)
+
+    return _make(value, (a, b), backward)
+
+
+def transpose(a: Node) -> Node:
+    value = np.ascontiguousarray(a.value.T)
+
+    def backward(g):
+        a.accumulate(g.T)
+
+    return _make(value, (a,), backward)
+
+
+def mul(a: Node, b: Node) -> Node:
+    _require_same_shape("mul", a, b)
+    value = a.value * b.value
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * b.value)
+        if b.requires_grad:
+            b.accumulate(g * a.value)
+
+    return _make(value, (a, b), backward)
+
+
+def tanh(a: Node) -> Node:
+    value = np.tanh(a.value)
+
+    def backward(g):
+        a.accumulate(g * (1.0 - value * value))
+
+    return _make(value, (a,), backward)
+
+
+def sum_cols(a: Node) -> Node:
+    """Per-column totals, summing over the row index: MxN -> 1xN row."""
+    _require_nonempty("sum_cols", a)
+    value = a.value.sum(axis=0, keepdims=True)
+
+    def backward(g):
+        a.accumulate(np.broadcast_to(g, a.value.shape).copy())
+
+    return _make(value, (a,), backward)
+
+
+def mean_rows(a: Node) -> Node:
+    """Mean over the row index: MxN -> 1xN row (column means)."""
+    _require_nonempty("mean_rows", a)
+    m = a.value.shape[0]
+    value = a.value.mean(axis=0, keepdims=True)
+
+    def backward(g):
+        a.accumulate(np.broadcast_to(g / m, a.value.shape).copy())
+
+    return _make(value, (a,), backward)
+
+
+def concat_cols(a: Node, b: Node) -> Node:
+    if a.value.shape[0] != b.value.shape[0]:
+        raise ShapeError(
+            f"concat_cols row mismatch: {a.value.shape} vs {b.value.shape}"
+        )
+    value = np.concatenate([a.value, b.value], axis=1)
+    split = a.value.shape[1]
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g[:, :split])
+        if b.requires_grad:
+            b.accumulate(g[:, split:])
+
+    return _make(value, (a, b), backward)
+
+
+def softmax_cols(a: Node) -> Node:
+    """Column-wise softmax, stabilized by per-column max subtraction."""
+    _require_nonempty("softmax_cols", a)
+    shifted = a.value - a.value.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    value = e / e.sum(axis=0, keepdims=True)
+
+    def backward(g):
+        inner = (value * g).sum(axis=0, keepdims=True)
+        a.accumulate(value * (g - inner))
+
+    return _make(value, (a,), backward)
+
+
+def lerp(w: Node, a: Node, b: Node) -> Node:
+    """Entrywise blend w * a + (1 - w) * b."""
+    _require_same_shape("lerp", w, a)
+    _require_same_shape("lerp", w, b)
+    rest = 1.0 - w.value
+    value = w.value * a.value + rest * b.value
+
+    def backward(g):
+        if w.requires_grad:
+            w.accumulate(g * a.value - g * b.value)
+        if a.requires_grad:
+            a.accumulate(g * w.value)
+        if b.requires_grad:
+            b.accumulate(g * rest)
+
+    return _make(value, (w, a, b), backward)
+
+
+def l2_normalize_row(row: Node) -> Node:
+    """A 1xD row divided by its Euclidean norm; a zero row has no direction."""
+    s = row.value
+    sq_norm = np.array([[(s * s).sum()]])
+    if sq_norm[0, 0] == 0.0:
+        raise DegenerateInputError("cannot normalize a zero row")
+    inv_norm = np.exp(-0.5 * np.log(sq_norm))  # 1x1: (sum of squares)^(-1/2)
+    value = inv_norm @ s
+
+    def backward(g):
+        g_sq = ((-0.5 * ((g @ s.T) * inv_norm)) / sq_norm)[0, 0]
+        # the chain's order: the direct term, then one term per factor of s * s
+        row.accumulate(inv_norm.T @ g + g_sq * s + g_sq * s)
+
+    return _make(value, (row,), backward)
+
+
+def neg_log_entry(row: Node, col: int, floor: float) -> Node:
+    """-log(max(row[0, col], floor)) as a 1x1 node; no gradient at or below the floor."""
+    if row.value.shape[0] != 1 or not 0 <= col < row.value.shape[1]:
+        raise ShapeError(f"neg_log_entry: column {col} outside a row of shape {row.value.shape}")
+    floor = float(floor)
+    entry = row.value[:, col:col + 1]
+    above = entry > floor
+    clamped = np.maximum(entry, floor)
+    value = -_checked_log(clamped)
+
+    def backward(g):
+        buf = np.zeros_like(row.value)
+        buf[:, col:col + 1] += (-g / clamped) * above
+        row.accumulate(buf)
+
+    return _make(value, (row,), backward)
+
+
+# ---------------------------------------------------------------------------
+# the chains the library's fused module ops replace
+
+
+def gate_blend_chain(pooled: Node, regions: Node, w_gate: Node, b_gate: Node,
+                     w_patch: Node, b_patch: Node, w_region: Node, b_region: Node) -> Node:
+    stacked = concat_cols(pooled, regions)
+    gate = sigmoid(linear(stacked, w_gate, b_gate))
+    patch_stream = tanh(linear(pooled, w_patch, b_patch))
+    region_stream = tanh(linear(regions, w_region, b_region))
+    return lerp(gate, patch_stream, region_stream)
+
+
+def gated_attention_chain(bag: Node, v: Node, u: Node, w: Node) -> Node:
+    gated = mul(tanh(matmul(bag, v)), sigmoid(matmul(bag, u)))
+    weights = softmax_cols(matmul(gated, w))  # M x 1
+    return matmul(transpose(weights), bag)
+
+
+def mean_logistic_chain(x: Node, weight: Node, bias: Node) -> Node:
+    return sigmoid(linear(mean_rows(x), weight, bias))
+
+
+def neg_log_sum_chain(entries, floor: float) -> Node:
+    total = None
+    for row, col in entries:
+        term = neg_log_entry(row, col, floor)
+        total = term if total is None else add(total, term)
+    return total
+
+
+def normalized_col_sum_chain(a: Node) -> Node:
+    return l2_normalize_row(sum_cols(a))

@@ -550,3 +550,178 @@ class TestFusedOps:
             assert out.value[0, 0] == -np.log(1e-12)
             out.backward()
             assert np.array_equal(row.grad, np.zeros((1, 3)))
+
+
+def assert_same_as_chain(fused, chain, weights, inputs_fused, inputs_chain):
+    """The value and the gradient of every input agree with the chain's."""
+    assert np.array_equal(fused.value, chain.value)
+    weighted_sum(fused, weights).backward()
+    weighted_sum(chain, weights).backward()
+    for nf, nc in zip(inputs_fused, inputs_chain):
+        assert (nf.grad is None) == (nc.grad is None)
+        if nf.grad is not None:
+            assert np.array_equal(nf.grad, nc.grad)
+
+
+def twin_inputs(arrays, trainable):
+    """Two independent node sets over copies of `arrays`; entry i is a
+    parameter where trainable[i], else a constant."""
+    def nodes():
+        return [ad.parameter(a.copy()) if t else ad.constant(a.copy())
+                for a, t in zip(arrays, trainable)]
+    return nodes(), nodes()
+
+
+def signed_bias(products, rng):
+    """A bias row that makes the first column of products + bias negative
+    and the last positive, so a sigmoid sees logits of both signs."""
+    bias = rng.normal(size=(1, products.shape[1]))
+    bias[0, 0] = -products[:, 0].max() - 1.0
+    bias[0, -1] = -products[:, -1].min() + 1.0
+    return bias
+
+
+class TestFusedModuleOps:
+    """Each fused op of a model module against the chain it replaces."""
+
+    @pytest.mark.parametrize("inputs_trainable", [True, False])
+    @pytest.mark.parametrize("scale", [0.5, 4.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gate_blend_equals_its_chain(self, seed, scale, inputs_trainable):
+        rng = np.random.default_rng(200 + seed)
+        rows, d = int(rng.integers(1, 9)), int(rng.integers(2, 9))
+        arrays = [rng.normal(size=(rows, d)), rng.normal(size=(rows, d)),
+                  rng.normal(scale=scale, size=(2 * d, d)), None,
+                  rng.normal(size=(d, d)), rng.normal(size=(1, d)),
+                  rng.normal(size=(d, d)), rng.normal(size=(1, d))]
+        arrays[3] = signed_bias(np.concatenate(arrays[:2], axis=1) @ arrays[2], rng)
+        trainable = [inputs_trainable] * 2 + [True] * 6
+        fused, chain = twin_inputs(arrays, trainable)
+        assert_same_as_chain(ad.gate_blend(*fused), ad.gate_blend_chain(*chain),
+                             rng.normal(size=(rows, d)), fused, chain)
+
+    @pytest.mark.parametrize("op", [ad.gate_blend, ad.gate_blend_chain])
+    def test_gate_blend_raises_the_chains_shape_errors(self, op):
+        d = 3
+
+        def call(pooled_rows, w_patch_rows=d):
+            params = [ad.parameter(np.ones(s)) for s in
+                      ((2 * d, d), (1, d), (w_patch_rows, d), (1, d), (d, d), (1, d))]
+            return op(ad.constant(np.ones((pooled_rows, d))), ad.constant(np.ones((2, d))),
+                      *params)
+
+        with pytest.raises(ShapeError, match="row mismatch"):
+            call(pooled_rows=3)
+        with pytest.raises(ShapeError, match="linear"):
+            call(pooled_rows=2, w_patch_rows=d + 1)
+
+    @pytest.mark.parametrize("bag_trainable", [True, False])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gated_attention_equals_its_chain(self, seed, bag_trainable):
+        rng = np.random.default_rng(300 + seed)
+        m, d, da = (int(v) for v in rng.integers(2, 9, size=3))
+        arrays = [rng.normal(size=(m, d)), rng.normal(size=(d, da)),
+                  rng.normal(scale=2.0, size=(d, da)), rng.normal(size=(da, 1))]
+        arrays[2][:, 1] = -arrays[2][:, 0]  # sigmoid logits of both signs
+        fused, chain = twin_inputs(arrays, [bag_trainable, True, True, True])
+        # the bag's gradient sums three terms, which must arrive in the chain's order
+        assert_same_as_chain(ad.gated_attention(*fused), ad.gated_attention_chain(*chain),
+                             rng.normal(size=(1, d)), fused, chain)
+
+    @pytest.mark.parametrize("op", [ad.gated_attention, ad.gated_attention_chain])
+    def test_gated_attention_raises_the_chains_errors(self, op):
+        bag = ad.constant(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="matmul"):
+            op(bag, ad.parameter(np.ones((5, 2))), ad.parameter(np.ones((4, 2))),
+               ad.parameter(np.ones((2, 1))))
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            op(bag, ad.parameter(np.ones((4, 2))), ad.parameter(np.ones((4, 3))),
+               ad.parameter(np.ones((2, 1))))
+
+    @pytest.mark.parametrize("x_trainable", [True, False])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mean_logistic_equals_its_chain(self, seed, x_trainable):
+        rng = np.random.default_rng(400 + seed)
+        m, d, t = (int(v) for v in rng.integers(2, 9, size=3))
+        arrays = [rng.normal(size=(m, d)), rng.normal(scale=3.0, size=(d, t)), None]
+        arrays[2] = signed_bias(arrays[0].mean(axis=0, keepdims=True) @ arrays[1], rng)
+        fused, chain = twin_inputs(arrays, [x_trainable, True, True])
+        assert_same_as_chain(ad.mean_logistic(*fused), ad.mean_logistic_chain(*chain),
+                             rng.normal(size=(1, t)), fused, chain)
+
+    @pytest.mark.parametrize("op", [ad.mean_logistic, ad.mean_logistic_chain])
+    def test_mean_logistic_raises_the_chains_errors(self, op):
+        weight, bias = ad.parameter(np.ones((3, 2))), ad.parameter(np.ones((1, 2)))
+        with pytest.raises(EmptyInputError):
+            op(ad.constant(np.zeros((0, 3))), weight, bias)
+        with pytest.raises(ShapeError, match="linear"):
+            op(ad.constant(np.ones((2, 4))), weight, bias)
+
+    @pytest.mark.parametrize("censor", [0, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_neg_log_sum_equals_its_chain_on_a_survival_row(self, seed, censor):
+        # h feeds the loss directly and through s = cumprod(1 - h), as in
+        # training, so its gradient sums the loss's term and the curve's
+        rng = np.random.default_rng(500 + seed)
+        t = int(rng.integers(1, 6))
+        logits = rng.normal(scale=3.0, size=(1, t))
+        logits[0, 0] = -abs(logits[0, 0])
+        logits[0, -1] = 40.0 if seed == 3 else abs(logits[0, -1])  # S below the floor
+        for time_bin in range(1, t + 1):
+            fused_p, chain_p = twin_inputs([logits], [True])
+
+            def loss(op, p):
+                h = ad.sigmoid(p[0])
+                s = ad.cumprod_complement(h)
+                if censor == 1:
+                    entries = [(s, time_bin - 1)]
+                else:
+                    entries = [(h, time_bin - 1)] + ([(s, time_bin - 2)] if time_bin > 1 else [])
+                return op(entries, 1e-12)
+
+            assert_same_as_chain(loss(ad.neg_log_sum, fused_p), loss(ad.neg_log_sum_chain, chain_p),
+                                 rng.normal(size=(1, 1)), fused_p, chain_p)
+
+    @pytest.mark.parametrize("op", [ad.neg_log_sum, ad.neg_log_sum_chain])
+    def test_neg_log_sum_raises_the_chains_shape_error(self, op):
+        row = ad.parameter(np.full((1, 3), 0.5))
+        with pytest.raises(ShapeError, match="column 3"):
+            op([(row, 0), (row, 3)], 1e-12)
+        with pytest.raises(ShapeError):
+            op([(ad.parameter(np.full((2, 3), 0.5)), 0)], 1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_normalized_col_sum_equals_its_chain(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        m, d = (int(v) for v in rng.integers(1, 12, size=2))
+        fused, chain = twin_inputs([rng.normal(size=(m, d))], [True])
+        assert_same_as_chain(ad.normalized_col_sum(*fused),
+                             ad.normalized_col_sum_chain(*chain),
+                             rng.normal(size=(1, d)), fused, chain)
+
+    @pytest.mark.parametrize("op", [ad.normalized_col_sum, ad.normalized_col_sum_chain])
+    def test_normalized_col_sum_raises_the_chains_errors(self, op):
+        with pytest.raises(DegenerateInputError):
+            op(ad.constant([[1.0, -2.0], [-1.0, 2.0]]))
+        with pytest.raises(EmptyInputError):
+            op(ad.constant(np.zeros((0, 2))))
+
+    def test_fused_module_ops_match_finite_differences(self):
+        rng = np.random.default_rng(700)
+        d = 3
+
+        def check(op, shapes, out_shape):
+            params = [ad.parameter(rng.normal(size=s)) for s in shapes]
+            weights = rng.normal(size=out_shape)
+            assert ad.grad_check(lambda p: weighted_sum(op(*p), weights),
+                                 params, h=1e-5) <= 1e-6, op.__name__
+
+        check(ad.gate_blend, [(2, d), (2, d), (2 * d, d), (1, d), (d, d), (1, d),
+                              (d, d), (1, d)], (2, d))
+        check(ad.gated_attention, [(4, d), (d, 2), (d, 2), (2, 1)], (1, d))
+        check(ad.mean_logistic, [(4, d), (d, 2), (1, 2)], (1, 2))
+        check(ad.normalized_col_sum, [(4, d)], (1, d))
+        h = ad.parameter(rng.uniform(0.1, 0.9, size=(1, 3)))
+        s = ad.parameter(rng.uniform(0.1, 0.9, size=(1, 3)))
+        assert ad.grad_check(lambda p: ad.neg_log_sum([(p[0], 2), (p[1], 1)], 1e-12),
+                             [h, s], h=1e-5) <= 1e-6

@@ -13,7 +13,7 @@ from promptsurv.contrast import (
     mutual_contrastive_loss,
     prototype_node,
 )
-from promptsurv.errors import DegenerateInputError
+from promptsurv.errors import DegenerateInputError, ShapeError
 
 
 def unit(vec):
@@ -221,3 +221,46 @@ class TestMutualContrastiveLoss:
         for proto, original in zip(q_p.entries(), stored):
             assert proto.vector.tobytes() == original.tobytes()
         assert tokens_p.grad is not None and tokens_r.grad is not None
+
+
+class TestQueueStorage:
+    def test_negatives_match_a_deque_oracle(self):
+        rng = np.random.default_rng(9)
+        q = MemoryQueue(6)
+        oracle = deque(maxlen=5)
+        for i in range(40):
+            proto = proto_of(rng.normal(size=4), pid=f"p{i % 7}")
+            q.push(proto)
+            oracle.append(proto)
+            for pid in ("p0", "p3", "nobody"):
+                vecs = [p.vector for p in oracle if p.patient_id != pid]
+                expected = np.stack(vecs) if vecs else np.zeros((0, 0))
+                assert np.array_equal(q.negatives_for(pid), expected)
+
+    def test_a_push_after_the_loss_leaves_its_gradient_alone(self):
+        # the loss keeps its negatives until the backward pass; a push in
+        # between (training pushes right after forming the loss) must not
+        # reach them, even when the queue's only row is overwritten
+        rng = np.random.default_rng(10)
+        anchor_v, positive_v, other, mine = (unit(rng.normal(size=4)) for _ in range(4))
+
+        def gradients(copy_negatives):
+            q = MemoryQueue(2)
+            q.push(Prototype(other.copy(), "other"))
+            negatives = q.negatives_for("me")
+            if copy_negatives:
+                negatives = negatives.copy()
+            anchor, positive = ad.parameter([anchor_v]), ad.parameter([positive_v])
+            loss = contrastive_loss(anchor, positive, negatives)
+            q.push(Prototype(mine.copy(), "me"))
+            loss.backward()
+            return anchor.grad, positive.grad
+
+        for live, fresh in zip(gradients(False), gradients(True)):
+            assert np.array_equal(live, fresh)
+
+    def test_pushing_another_dimension_is_a_shape_error(self):
+        q = MemoryQueue(3)
+        q.push(proto_of([1.0, 0.0]))
+        with pytest.raises(ShapeError):
+            q.push(proto_of([1.0, 0.0, 0.0]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from promptsurv import autodiff as ad
-from promptsurv.errors import TrainingError
+from promptsurv.errors import ShapeError, TrainingError
 from promptsurv.optim import AdamState
 
 
@@ -73,3 +73,66 @@ def test_matches_reference_trajectory():
         p.grad = g.copy()
         adam.step()
     assert p.value == pytest.approx(ref, abs=1e-12)
+
+
+def test_a_raising_step_changes_nothing():
+    a, b = ad.parameter([[1.0]]), ad.parameter([[2.0]])
+    adam = AdamState({"a": a, "b": b}, lr=0.1)
+    a.grad, b.grad = np.array([[1.0]]), np.array([[np.nan]])
+    with pytest.raises(TrainingError, match="'b'"):
+        adam.step()
+    assert (a.value[0, 0], b.value[0, 0], adam.step_count) == (1.0, 2.0, 0)
+    # nor did the moments move: the next step is a fresh optimizer's first
+    ref_a, ref_b = ad.parameter([[1.0]]), ad.parameter([[2.0]])
+    ref = AdamState({"a": ref_a, "b": ref_b}, lr=0.1)
+    for p, q in ((a, ref_a), (b, ref_b)):
+        p.grad, q.grad = np.array([[0.5]]), np.array([[0.5]])
+    adam.step()
+    ref.step()
+    assert (a.value.tobytes(), b.value.tobytes()) == (ref_a.value.tobytes(),
+                                                      ref_b.value.tobytes())
+    assert adam.step_count == 1
+
+
+def test_rebound_and_cleared_gradients_are_read_from_the_parameter():
+    # a cleared gradient (None) reads as zero; a rebound one is copied in
+    p, q = ad.parameter([[1.0, -1.0]]), ad.parameter([[3.0]])
+    adam = AdamState({"p": p, "q": q}, lr=0.1)
+    adam.zero_grad()
+    q.zero_grad()
+    p.grad = np.array([[1.0, -1.0]])
+    adam.step()
+    step = 0.1 / (1.0 + 1e-8)
+    assert np.array_equal(p.value, [[1.0 - step, -1.0 + step]])
+    assert q.value[0, 0] == 3.0
+    p.grad = np.ones((2, 1))
+    with pytest.raises(ShapeError, match="'p'"):
+        adam.step()
+    assert adam.step_count == 1
+    # a rebound value is copied in too, and updated from then on
+    adam.zero_grad()
+    q.value = np.array([[5.0]])
+    q.grad = np.array([[1.0]])
+    adam.step()
+    assert q.value[0, 0] < 5.0
+    moved = q.value[0, 0]
+    adam.step()
+    assert q.value[0, 0] < moved
+
+
+def test_accumulated_gradients_land_in_the_flat_buffer():
+    # the graph writes into the views zero_grad binds, and each step reads them
+    w = ad.parameter([[0.5, -2.0]])
+    adam = AdamState({"w": w}, lr=0.01)
+    ref = ad.parameter([[0.5, -2.0]])
+    ref_adam = AdamState({"w": ref}, lr=0.01)
+    x = np.array([[1.5, 3.0]])
+    for _ in range(3):
+        adam.zero_grad()
+        view = w.grad
+        ad.add(w, ad.constant(x)).backward()
+        assert w.grad is view
+        ref.grad = np.ones((1, 2))
+        adam.step()
+        ref_adam.step()
+    assert w.value.tobytes() == ref.value.tobytes()

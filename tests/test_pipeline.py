@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ad_chain
 from conftest import build_cohort, params_bytes, read_all_bytes
 from promptsurv import autodiff as ad
-from promptsurv import pipeline
+from promptsurv import contrast, fusion, pipeline, survival
 from promptsurv.data import PATCH, REGION
 from promptsurv.errors import ConfigError, DataValidationError
 from promptsurv.pipeline import (
@@ -272,6 +273,46 @@ class TestTraining:
                     sizes.append(len(ad._toposort(loss)))
         assert max(sizes) <= 40
 
+    def test_g_loss_graph_is_one_node_per_module(self, small_cohort):
+        # 12 leaves (8 parameters, 4 cached constants) and 12 ops: gate,
+        # region gather, token stack, head, survival curve, NLL, region
+        # prototype, two contrastive directions and three sums or scalings
+        records, prompts, _ = small_cohort
+        model, _ = train_fold(records[:8], prompts, fast_cfg(epochs=1))
+        sizes = []
+        for rec in records[8:12]:
+            for censor in (0, 1):
+                for time_bin in range(1, model.cfg.n_bins + 1):
+                    case = replace(rec, censor=censor, time_bin=time_bin)
+                    loss = model.patient_loss(case, update_queues=False)
+                    sizes.append(len(ad._toposort(loss)))
+        assert max(sizes) <= 24
+
+    @pytest.mark.parametrize("variant", ["A", "G"])
+    def test_fused_module_ops_train_like_their_chains(self, small_cohort, monkeypatch,
+                                                      variant):
+        records, prompts, _ = small_cohort
+        cfg = fast_cfg(epochs=2, variant=variant)
+
+        def run():
+            model, trace = train_fold(records[:12], prompts, cfg)
+            report = evaluate_fold(model, records[12:20], trace, fold=0)
+            return params_bytes(model), trace, report.risks
+
+        fused = run()
+        calls = Counter()
+        for module, name in ((fusion, "gate_blend"), (survival, "mean_logistic"),
+                             (survival, "neg_log_sum"), (contrast, "normalized_col_sum"),
+                             (pipeline, "gated_attention")):
+            def counted(*args, _chain=getattr(ad_chain, name + "_chain"), _name=name):
+                calls[_name] += 1
+                return _chain(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert run() == fused
+        used = {"A": {"gated_attention", "mean_logistic", "neg_log_sum"},
+                "G": {"gate_blend", "mean_logistic", "neg_log_sum", "normalized_col_sum"}}
+        assert set(calls) == used[variant]
+
     def test_patch_constants_built_once_per_patient(self, small_cohort, monkeypatch):
         records, prompts, _ = small_cohort
         calls = {"pool": 0, "patch_prototype": 0}
@@ -516,6 +557,20 @@ class TestSelectionMemo:
                 (flag,) = [f for f in report.flags if "non-converged" in f]
                 assert ": patch 24 (worst residual " in flag, flag
                 assert f"; region {region} (worst residual " in flag, flag
+
+    def test_a_memo_hit_from_another_cohort_is_an_error(self):
+        # ids p0000... repeat across cohorts: a memo filled from one must not
+        # serve its selections to the other
+        first, first_prompts, _ = build_cohort(seed=11)
+        second, second_prompts, _ = build_cohort(seed=3)
+        cfg = fast_cfg(epochs=1, variant="D")
+        memo = {}
+        cross_validate(first, first_prompts, cfg, k=3, memo=memo)
+        with pytest.raises(DataValidationError, match=r"patient p\d{4} comes with another patch"):
+            cross_validate(second, second_prompts, cfg, k=3, memo=memo)
+        # the same bags under other prompt sets are refused as well
+        with pytest.raises(DataValidationError, match="prompt set"):
+            cross_validate(first, second_prompts, cfg, k=3, memo=memo)
 
 
 class TestReports:
