@@ -24,7 +24,8 @@ one node per module:
 - `cumprod_complement`: one 1 - h and running product per column;
 - `neg_log_sum`: one neg(log(clamp_min(entry))) per term, then add;
 - `normalized_col_sum`: sum_cols, then division by the Euclidean norm;
-- `contrastive`: the two-product, exp, log-sum chain of one loss direction.
+- `contrastive`: the two-product, exp, log-sum chain of one loss direction;
+- `gather_concat_rows`: gather_rows on a constant bag, then concat_rows.
 
 Each performs the same floating-point operations, in the same order, as its
 chain, in its value and in every gradient it accumulates, so the graph is
@@ -197,13 +198,7 @@ def concat_rows(a: Node, b: Node) -> Node:
 
 def gather_rows(a: Node, indices) -> Node:
     """Hard row selection; backward scatters gradients to the picked rows."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows expects a 1-D index sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[0]):
-        raise ShapeError(
-            f"gather_rows index out of range for {a.value.shape[0]} rows"
-        )
+    idx = _checked_indices("gather_rows", indices, a.value.shape[0])
     value = a.value[idx]
 
     def backward(g):
@@ -216,6 +211,27 @@ def gather_rows(a: Node, indices) -> Node:
 
 # ---------------------------------------------------------------------------
 # fused operations
+
+
+def gather_concat_rows(bag, indices, tail: Node) -> Node:
+    """The rows of the constant matrix `bag` at `indices`, then the rows of
+    `tail`; only `tail` receives a gradient."""
+    bag = as_matrix(bag)
+    idx = _checked_indices("gather_concat_rows", indices, bag.shape[0])
+    k, tv = idx.size, tail.value
+    if tv.shape[1] != bag.shape[1]:
+        raise ShapeError(f"gather_concat_rows column mismatch: {(k, bag.shape[1])} "
+                         f"vs {tv.shape}")
+    value = np.empty((k + tv.shape[0], tv.shape[1]))
+    # the indices are checked above; np.take's default mode="raise" would
+    # gather into a buffer and copy that into `value`
+    np.take(bag, idx, axis=0, out=value[:k], mode="clip")
+    value[k:] = tv
+
+    def backward(g):
+        tail.accumulate(g[k:])
+
+    return _make(value, (tail,), backward)
 
 
 def linear(x: Node, weight: Node, bias: Node) -> Node:
@@ -404,7 +420,9 @@ def contrastive(anchor: Node, positive: Node, negatives, temperature: float) -> 
     and p (positive) and the K rows n_k of `negatives` (KxD), which receive
     no gradient.
     """
-    neg_t = as_matrix(np.asarray(negatives).T)  # D x K
+    # D x K, a copy: a caller's later write into its negatives must not
+    # change the gradient
+    neg_t = as_matrix(np.asarray(negatives, dtype=np.float64).T.copy())
     d = anchor.value.shape[1]
     if anchor.value.shape != (1, d) or positive.value.shape != (1, d) or neg_t.shape[0] != d:
         raise ShapeError(f"contrastive shape mismatch: anchor {anchor.value.shape}, "
@@ -450,6 +468,17 @@ def _linear_params_backward(x: np.ndarray, weight: Node, bias: Node, g: np.ndarr
     if bias.requires_grad:
         # a ones-row product, not g.sum(axis=0): the two round differently
         bias.accumulate(np.ones((1, x.shape[0])) @ g)
+
+
+def _checked_indices(op: str, indices, rows: int) -> np.ndarray:
+    """1-D row indices into a matrix of `rows` rows, as an intp array."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"{op} expects a 1-D index sequence")
+    # one reduction over both bounds: a negative index views as a huge unsigned one
+    if idx.size and idx.view(np.uintp).max() >= rows:
+        raise ShapeError(f"{op} index out of range for {rows} rows")
+    return idx
 
 
 def _require_linear(x: np.ndarray, weight: Node, bias: Node):

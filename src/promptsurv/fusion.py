@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import gate_blend, linear  # noqa: F401  (linear: each stream's map)
-from .errors import DataValidationError
+from .errors import DataValidationError, ShapeError
 
 
 @dataclass
@@ -32,21 +32,37 @@ def pool_to_regions(selected_tokens: np.ndarray, selected_indices: np.ndarray,
     """Sum selected patch tokens into their parent regions.
 
     Row j of the result is the sum of all selected tokens whose parent is
-    region j; regions with no selected child stay zero.
+    region j, added in selection order onto a zero row, as
+    `np.add.at(zeros, owners, selected_tokens)` adds them; regions with no
+    selected child stay zero.
     """
     parents = np.asarray(parent_region, dtype=np.int64)
     idx = np.asarray(selected_indices, dtype=np.int64)
-    if idx.size and idx.max() >= parents.size:
-        raise DataValidationError(
-            f"selected index {int(idx.max())} outside parent map of size {parents.size}"
-        )
+    if idx.size and (idx.min() < 0 or idx.max() >= parents.size):
+        raise DataValidationError(f"selected indices {int(idx.min())}..{int(idx.max())} "
+                                  f"outside parent map of size {parents.size}")
     owners = parents[idx]
-    if owners.size and owners.max() >= n_regions:
-        raise DataValidationError(
-            f"parent index {int(owners.max())} >= region count {n_regions}"
-        )
-    pooled = np.zeros((n_regions, selected_tokens.shape[1]))
-    np.add.at(pooled, owners, selected_tokens)
+    if owners.size and (owners.min() < 0 or owners.max() >= n_regions):
+        raise DataValidationError(f"parent indices {int(owners.min())}..{int(owners.max())} "
+                                  f"outside the region range [0, {n_regions})")
+    tokens = np.asarray(selected_tokens, dtype=np.float64)
+    if tokens.ndim != 2 or tokens.shape[0] != idx.size:
+        raise ShapeError(f"{idx.size} selected indices for selected tokens of shape "
+                         f"{tokens.shape}")
+    # each region's children as one run of rows, in selection order
+    order = np.argsort(owners, kind="stable")
+    rows = tokens[order]
+    ends = np.cumsum(np.bincount(owners, minlength=n_regions)).tolist()
+    pooled = np.zeros((n_regions, rows.shape[1]))
+    start = 0
+    for region, end in enumerate(ends):
+        if end > start:
+            block = rows[start:end]
+            # reduce adds the rows in order, except a single column, which it
+            # adds pairwise
+            pooled[region] += (np.add.reduce(block, axis=0) if block.shape[1] > 1
+                               else np.add.accumulate(block, axis=0)[-1])
+        start = end
     return pooled
 
 

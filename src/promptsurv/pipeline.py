@@ -10,16 +10,20 @@ Everything is driven by named RNG streams derived from (seed, fold, tag),
 so runs with identical seed, config, and cohort are bit-identical. Folds
 carry fully independent state (parameters, queues, streams) and could run
 in parallel; within a fold, training is sequential because batch size is 1
-and the queue state is order-dependent.
+and the queue state is order-dependent. `cross_validate` holds one fold at
+a time: a fold's state is released before the next fold trains.
 
 Whenever alignment reads a raw bag (every patch-level selection, and the
 region level of variants without the gate), its selection depends on the
 tokens, the prompts and the scoring settings only, never on a parameter.
-Each fold caches, once per patient, everything no parameter reaches: those
-selections, the tokens they keep, the patch evidence pooled into regions,
-the patch prototype and the region bag. A training step builds only the
-gated path and the head. The same rule counts solver health: a raw-bag
-selection counts once per patient per fold, a gated selection at every use.
+Each fold caches, once per patient, the constant inputs no parameter
+reaches: those selections, the tokens they keep, the patch evidence pooled
+into regions, the patch prototype and the region bag. With the gate on (F
+and G) a step copies the kept patch tokens into its stack with the gated
+region tokens anyway, so the cache keeps only their indices and the step
+reads the rows from the bag. A training step builds only the gated path
+and the head. The same rule counts solver health: a raw-bag selection
+counts once per patient per fold, a gated selection at every use.
 
 The one thing folds may share is a read-mostly selection memo. Given one,
 `cross_validate` solves each raw bag once per patient and hands the indices
@@ -310,7 +314,9 @@ class Pipeline:
     """Holds one fold's parameters, queues, and per-patient constants.
 
     A patient's constants (see `_constants`) are built on first use in this
-    fold; a later use under the same id with other bags is an error. `memo`
+    fold; a later use under the same id with other bags is an error. They
+    are the constant inputs of the model, except that with the gate on the
+    selected patch tokens are kept as indices into the patient's bag. `memo`
     maps (patient_id, level, scoring) to the raw bag and prompt set and the
     selection alignment makes from them. No parameter reaches those
     selections, so one memo may serve every fold and every variant run on the
@@ -387,10 +393,12 @@ class Pipeline:
 
     def _constants(self, rec: PatientRecord) -> tuple:
         """The patch tokens the model reads (the selected ones; all of them in
-        A), their pooling into regions (gate on) and prototype (contrast on,
-        lambda > 0), the region bag (gate on) or its selected rows, and
-        (level, kept indices) per raw-bag selection. No parameter reaches
-        them, so they are built once per patient and cached with its bags."""
+        A; None with the gate on), their pooling into regions (gate on) and
+        prototype (contrast on, lambda > 0), the region bag (gate on) or its
+        selected rows, and (level, kept indices) per raw-bag selection. No
+        parameter reaches them, so they are built once per patient and cached
+        with its bags. With the gate on, `forward` reads the selected patch
+        rows from the bag by their indices at every step."""
         cached = self._cache.get(rec.patient_id)
         if cached is None:
             sw = self.switches
@@ -411,6 +419,8 @@ class Pipeline:
                     region_idx = self._select(rec, REGION)
                     chosen += ((REGION, region_idx),)
                     region = ad.gather_rows(region, region_idx)
+            if sw.use_gate:
+                patch = None
             cached = self._cache[rec.patient_id] = (
                 rec.patch_bag, rec.region_bag, patch, pooled, prototype, region, chosen)
         elif cached[0] is not rec.patch_bag or cached[1] is not rec.region_bag:
@@ -440,7 +450,10 @@ class Pipeline:
             region_idx = self._use(self._choose(region_input.value, REGION), REGION)
             chosen += ((REGION, region_idx),)
             region_node = ad.gather_rows(region_input, region_idx)
-        tokens = fuse(patch, region_node)
+            (_, patch_idx), _ = chosen
+            tokens = ad.gather_concat_rows(rec.patch_bag.tokens, patch_idx, region_node)
+        else:
+            tokens = fuse(patch, region_node)
         if self.attn is not None:
             tokens = attention_pool(tokens, self.attn)
         return hazards(tokens, self.head), patch_proto, region_node, chosen
@@ -625,6 +638,7 @@ def cross_validate(records: list[PatientRecord], prompts: dict[str, PromptSet],
         model, trace = train_fold(train_records, prompts, cfg, fold=fold_idx,
                                   memo=memo)
         reports.append(evaluate_fold(model, eval_records, trace, fold_idx))
+        del model  # the next fold trains without this one's state
     return reports, summarize(reports)
 
 

@@ -272,3 +272,7 @@ def neg_log_sum_chain(entries, floor: float) -> Node:
 
 def normalized_col_sum_chain(a: Node) -> Node:
     return l2_normalize_row(sum_cols(a))
+
+
+def gather_concat_rows_chain(bag, indices, tail: Node) -> Node:
+    return concat_rows(gather_rows(constant(bag), indices), tail)

@@ -525,6 +525,24 @@ class TestFusedOps:
         with pytest.raises(EmptyInputError):
             ad.contrastive(anchor, positive, np.zeros((0, 3)), 1.0)
 
+    def test_contrastive_keeps_its_negatives_when_the_caller_writes_them(self):
+        # a single negative row transposes into a contiguous column, which
+        # an unforced conversion would alias
+        rng = np.random.default_rng(27)
+        values = unit_rows(rng, 1, 5), unit_rows(rng, 1, 5)
+        negatives = unit_rows(rng, 1, 5)
+
+        def anchor_grad(overwrite):
+            anchor, positive = (ad.parameter(v.copy()) for v in values)
+            own = negatives.copy()
+            loss = ad.contrastive(anchor, positive, own, 0.5)
+            if overwrite:
+                own[...] = 0.0
+            loss.backward()
+            return anchor.grad
+
+        assert np.array_equal(anchor_grad(overwrite=True), anchor_grad(overwrite=False))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_neg_log_entry_is_bit_identical_to_its_chain(self, seed):
         rng = np.random.default_rng(seed)
@@ -705,6 +723,29 @@ class TestFusedModuleOps:
             op(ad.constant([[1.0, -2.0], [-1.0, 2.0]]))
         with pytest.raises(EmptyInputError):
             op(ad.constant(np.zeros((0, 2))))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gather_concat_rows_equals_its_chain(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        m, d, rows = int(rng.integers(1, 12)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        bag = rng.normal(size=(m, d))
+        indices = rng.integers(0, m, size=int(rng.integers(0, 2 * m)))  # repeats, any order
+        fused, chain = twin_inputs([rng.normal(size=(rows, d))], [True])
+        assert_same_as_chain(ad.gather_concat_rows(bag, indices, *fused),
+                             ad.gather_concat_rows_chain(bag, indices, *chain),
+                             rng.normal(size=(indices.size + rows, d)), fused, chain)
+
+    @pytest.mark.parametrize("op", [ad.gather_concat_rows, ad.gather_concat_rows_chain])
+    def test_gather_concat_rows_raises_the_chains_shape_errors(self, op):
+        bag, tail = np.ones((4, 3)), ad.parameter(np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="column mismatch"):
+            op(bag, [0, 3], ad.parameter(np.ones((2, 2))))
+        with pytest.raises(ShapeError, match="out of range for 4 rows"):
+            op(bag, [0, 4], tail)
+        with pytest.raises(ShapeError, match="out of range for 4 rows"):
+            op(bag, [-1], tail)
+        with pytest.raises(ShapeError, match="1-D"):
+            op(bag, [[0]], tail)
 
     def test_fused_module_ops_match_finite_differences(self):
         rng = np.random.default_rng(700)

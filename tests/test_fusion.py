@@ -70,6 +70,35 @@ class TestPoolToRegions:
         with pytest.raises(DataValidationError, match="parent"):
             pool_to_regions(np.ones((1, 2)), np.array([0]), np.array([5]), 2)
 
+    def test_negative_parent_index_rejected(self):
+        with pytest.raises(DataValidationError, match="parent"):
+            pool_to_regions(np.ones((2, 2)), np.array([0, 1]), np.array([0, -1]), 2)
+
+    def test_negative_selected_index_rejected(self):
+        with pytest.raises(DataValidationError, match="selected indices -1..0"):
+            pool_to_regions(np.ones((2, 2)), np.array([-1, 0]), np.array([0, 1]), 2)
+
+    def test_one_token_row_per_selected_index(self):
+        with pytest.raises(ShapeError, match="2 selected indices"):
+            pool_to_regions(np.ones((3, 2)), np.array([0, 1]), np.array([0, 1]), 2)
+
+    def test_matches_an_add_at_oracle_bit_for_bit(self):
+        # unsorted parent maps, empty regions, a single channel (which a
+        # pairwise reduction would add in another order) and rows of -0.0
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            m, d = int(rng.integers(1, 200)), int(rng.choice([1, 2, 3, 16]))
+            n_regions = int(rng.integers(1, 10))
+            tokens = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+            tokens[rng.random((m, d)) < 0.1] = -0.0
+            parents = rng.integers(0, n_regions, size=m)
+            selected = np.sort(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False))
+            expected = np.zeros((n_regions, d))
+            np.add.at(expected, parents[selected], tokens[selected])
+            pooled = pool_to_regions(tokens[selected], selected, parents, n_regions)
+            assert np.array_equal(pooled, expected)
+            assert np.array_equal(np.signbit(pooled), np.signbit(expected))
+
 
 class TestGateFuse:
     def test_all_zero_parameters_give_zero_output(self):

@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -337,6 +339,29 @@ class TestTraining:
             assert calls["patch_prototype"] == 0, variant
 
 
+    @pytest.mark.parametrize("variant", "FG")
+    def test_gated_fold_caches_no_copy_of_the_selected_patch_rows(self, small_cohort,
+                                                                  variant):
+        def arrays(obj):
+            if isinstance(obj, ad.Node):
+                yield obj.value
+            elif isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, tuple):
+                for item in obj:
+                    yield from arrays(item)
+
+        records, prompts, _ = small_cohort
+        model, _ = train_fold(records[:6], prompts, fast_cfg(variant=variant))
+        for rec in records[:6]:
+            # the first two entries are the patient's own bags
+            entry = model._cache[rec.patient_id][2:]
+            ((level, kept),) = entry[-1]
+            assert level == PATCH
+            assert kept.size > rec.region_bag.size
+            rows = [a.shape[0] for a in arrays(entry) if a.ndim == 2]
+            assert max(rows) < kept.size, rows
+
     @pytest.mark.parametrize("variant", "ACDG")
     def test_cached_patient_rejects_other_bags_under_its_id(self, variant):
         records, prompts, _ = build_cohort(seed=11)
@@ -406,6 +431,21 @@ class TestCrossValidation:
             assert ra.ci == rb.ci
             assert ra.risks == rb.risks
             assert ra.loss_trace == rb.loss_trace
+
+    def test_one_fold_alive_at_a_time(self, small_cohort, monkeypatch):
+        records, prompts, _ = small_cohort
+        trained, alive = [], []
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in trained))
+            model, trace = train_fold(*args, **kwargs)
+            trained.append(weakref.ref(model))
+            return model, trace
+
+        monkeypatch.setattr(pipeline, "train_fold", tracked)
+        cross_validate(records, prompts, fast_cfg(epochs=1), k=3)
+        assert alive == [0, 0, 0]
 
     def test_summary_formatting(self):
         reports = [FoldReport(fold=i, ci=c, loss_trace=[], risks=[], km_low=None,
