@@ -16,8 +16,8 @@ read-only, so independent graphs can run in parallel threads.
 Each fused operation replaces a chain of elementary ones; the model builds
 one node per module:
 
-- `linear`: matmul, then add of the bias row;
-- `gate_blend`: concat_cols, three `linear`, sigmoid, two tanh and lerp;
+- `gate_blend`: concat_cols, three `linear` (matmul, then add of the bias
+  row), sigmoid, two tanh and lerp;
 - `gated_attention`: three matmul, tanh, sigmoid, mul, softmax_cols and
   transpose;
 - `mean_logistic`: mean_rows, `linear` and sigmoid;
@@ -232,19 +232,6 @@ def gather_concat_rows(bag, indices, tail: Node) -> Node:
         tail.accumulate(g[k:])
 
     return _make(value, (tail,), backward)
-
-
-def linear(x: Node, weight: Node, bias: Node) -> Node:
-    """x @ weight + bias, with the 1xD bias row repeated across the rows of x."""
-    _require_linear(x.value, weight, bias)
-    value = x.value @ weight.value + bias.value
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(g @ weight.value.T)
-        _linear_params_backward(x.value, weight, bias, g)
-
-    return _make(value, (x, weight, bias), backward)
 
 
 def gate_blend(pooled: Node, regions: Node, w_gate: Node, b_gate: Node,

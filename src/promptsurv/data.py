@@ -6,9 +6,11 @@ survival signal so the whole pipeline can be exercised end to end at desk
 scale.
 
 File formats (all paths in a manifest are relative to the manifest):
-  - matrix file: one ASCII header line ``rows cols`` followed by
-    rows*cols little-endian IEEE-754 float64 values in row-major order
-  - parent map: one region index per line (patch i's parent on line i)
+  - matrix file: one ASCII header line ``rows cols`` (two non-negative
+    integers) followed by exactly rows*cols little-endian IEEE-754 float64
+    values in row-major order
+  - parent map: one decimal region index per line (patch i's parent on
+    line i); whitespace around it and whitespace-only lines are allowed
   - manifest: JSON listing per-patient files plus one prompt file per level
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -255,22 +258,32 @@ def write_matrix(path, arr: np.ndarray):
 
 
 def read_matrix(path) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise DataValidationError(f"missing embedding file: {path}")
-    with open(path, "rb") as fh:
+    """Read a matrix file straight into one preallocated float64 array.
+
+    The file size is checked against the header before anything is
+    allocated, so a header that lies about its dimensions sizes nothing."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataValidationError(f"missing embedding file: {path}") from exc
+    with fh:
         header = fh.readline()
         try:
             rows, cols = (int(tok) for tok in header.split())
         except ValueError as exc:
             raise DataValidationError(f"bad header in {path}: {header!r}") from exc
-        payload = fh.read()
-    expected = rows * cols * 8
-    if len(payload) != expected:
+        if rows < 0 or cols < 0:
+            raise DataValidationError(f"bad header in {path}: negative dimensions {rows}x{cols}")
+        expected = rows * cols * 8
+        got = os.fstat(fh.fileno()).st_size - len(header)
+        if got == expected:
+            mat = np.empty((rows, cols), dtype="<f8")
+            got = fh.readinto(mat)
+    if got != expected:
         raise DataValidationError(
-            f"{path}: expected {expected} payload bytes for {rows}x{cols}, got {len(payload)}"
+            f"{path}: expected {expected} payload bytes for {rows}x{cols}, got {got}"
         )
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    return mat
 
 
 def write_parent_map(path, parents: np.ndarray):
@@ -279,15 +292,80 @@ def write_parent_map(path, parents: np.ndarray):
             fh.write(f"{int(idx)}\n")
 
 
+# The parent-map grammar, line by line: optional whitespace, an optional sign,
+# decimal digits, optional whitespace; a whitespace-only line is skipped. \n
+# and \r each end a line. \x1c-\x1f are whitespace only on a line that holds
+# no number, as for Python's str.strip() and int().
+_CLASSES = 6
+_INVALID, _SPACE, _NEWLINE, _SEPARATOR, _DIGIT, _SIGN = range(_CLASSES)
+_BYTE_CLASS = np.full(256, _INVALID, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\v\f")] = _SPACE
+_BYTE_CLASS[list(b"\n\r")] = _NEWLINE
+_BYTE_CLASS[0x1c:0x20] = _SEPARATOR
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+# _FOLLOWS[a * _CLASSES + b]: may a byte of class b follow one of class a?
+_FOLLOWS = np.zeros((_CLASSES, _CLASSES), dtype=bool)
+_FOLLOWS[[_SPACE, _NEWLINE], _SPACE:] = True
+_FOLLOWS[_SEPARATOR, [_SPACE, _NEWLINE, _SEPARATOR]] = True
+_FOLLOWS[_DIGIT, [_SPACE, _NEWLINE, _DIGIT]] = True
+_FOLLOWS[_SIGN, _DIGIT] = True
+_FOLLOWS = _FOLLOWS.ravel()
+_INT64_DIGITS = 19
+_POW10 = np.uint64(10) ** np.arange(_INT64_DIGITS, dtype=np.uint64)
+_INT64_MAX = np.uint64(2**63 - 1)
+
+
 def read_parent_map(path) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise DataValidationError(f"missing parent map: {path}")
+    """Parse a parent map with whole-array operations on its bytes.
+
+    Every line that is not whitespace-only must hold one decimal integer
+    within int64."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return np.array([int(ln) for ln in fh if ln.strip()], dtype=np.int64)
-    except ValueError as exc:  # a non-integer line or a non-ASCII byte
-        raise DataValidationError(f"non-integer entry in parent map {path}") from exc
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataValidationError(f"missing parent map: {path}") from exc
+    # a newline on each side gives every number a blank neighbour
+    buf = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+    cls = _BYTE_CLASS.take(buf)
+    in_number = cls >= _DIGIT
+    edges = np.flatnonzero(in_number[1:] != in_number[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    newline = cls == _NEWLINE
+    # every byte may follow its neighbour, and each gap between two numbers,
+    # [ends[k], starts[k + 1]), holds a newline
+    if not (_FOLLOWS.take(cls[:-1] * np.uint8(_CLASSES) + cls[1:]).all()
+            and np.logical_or.reduceat(newline, edges[1:-1])[0::2].all()):
+        raise DataValidationError(f"non-integer entry in parent map {path}")
+    separator = cls == _SEPARATOR
+    if separator.any():
+        line = np.cumsum(newline)
+        if np.isin(line[separator], line[starts]).any():
+            raise DataValidationError(f"non-integer entry in parent map {path}")
+
+    negative = buf[starts] == ord("-")
+    first = starts + (cls[starts] == _SIGN)
+    widest = (ends - first).max(initial=0)
+    if widest > _INT64_DIGITS:
+        # only leading zeros may stand left of a number's 19 lowest digits
+        places = np.flatnonzero(cls == _DIGIT)
+        high = places < np.repeat(ends - _INT64_DIGITS, ends - first)
+        if (buf[places[high]] != ord("0")).any():
+            raise DataValidationError(f"parent index outside int64 in parent map {path}")
+        widest = _INT64_DIGITS
+    magnitude = np.zeros(starts.size, dtype=np.uint64)
+    # one pass per decimal place, right to left; where a number is shorter,
+    # `at` falls left of it (below 0 at most wraps) and the place is masked
+    for place in range(widest):
+        at = ends - 1 - place
+        magnitude += np.where(at >= first, buf[at] - np.uint8(ord("0")), 0) * _POW10[place]
+    # int64 holds magnitudes up to 2**63 - 1, and 2**63 when negative
+    if widest == _INT64_DIGITS and (magnitude > _INT64_MAX + negative).any():
+        raise DataValidationError(f"parent index outside int64 in parent map {path}")
+    value = magnitude.view(np.int64)
+    np.negative(value, out=value, where=negative)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +395,11 @@ def load_cohort(manifest_path):
     and non-finite embedding entries.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise DataValidationError(f"missing manifest: {manifest_path}")
-    manifest = _check_manifest(read_json(manifest_path, DataValidationError),
-                               _MANIFEST_KINDS, "manifest", manifest_path)
+    try:
+        raw = read_json(manifest_path, DataValidationError)
+    except OSError as exc:
+        raise DataValidationError(f"missing manifest: {manifest_path}") from exc
+    manifest = _check_manifest(raw, _MANIFEST_KINDS, "manifest", manifest_path)
     prompt_files = _check_manifest(manifest.get("prompts", {}), _PROMPT_KINDS,
                                    "prompts", manifest_path)
     entries = []

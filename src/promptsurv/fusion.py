@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import gate_blend, linear  # noqa: F401  (linear: each stream's map)
+from .autodiff import gate_blend
 from .errors import DataValidationError, ShapeError
 
 

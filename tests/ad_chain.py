@@ -2,9 +2,10 @@
 
 The elementary ops here (`neg`, `exp`, `log`, `clamp_min`, `sum_all`,
 `sum_rows`, `matmul`, `transpose`, `mul`, `tanh`, `sum_cols`, `mean_rows`,
-`concat_cols`, `softmax_cols`) and the fused `lerp`, `l2_normalize_row` and
-`neg_log_entry` build the reference chains that the library's fused ops are
-checked against bit for bit, and the scalar losses handed to `grad_check`.
+`concat_cols`, `softmax_cols`) and the fused `linear`, `lerp`,
+`l2_normalize_row` and `neg_log_entry` build the reference chains that the
+library's fused ops are checked against bit for bit, and the scalar losses
+handed to `grad_check`.
 No library code calls them, so they live here. The `*_chain` functions at
 the end compose them into the chain each of the library's module-level fused
 ops replaces, with the same signature. Test modules import this module as
@@ -17,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from promptsurv.autodiff import *  # noqa: F401,F403
-from promptsurv.autodiff import (Node, _checked_exp, _checked_log, _make,
+from promptsurv.autodiff import (Node, _checked_exp, _checked_log,
+                                 _linear_params_backward, _make, _require_linear,
                                  _require_nonempty, _require_same_shape)
 from promptsurv.errors import DegenerateInputError, ShapeError
 
@@ -184,6 +186,19 @@ def softmax_cols(a: Node) -> Node:
         a.accumulate(value * (g - inner))
 
     return _make(value, (a,), backward)
+
+
+def linear(x: Node, weight: Node, bias: Node) -> Node:
+    """x @ weight + bias, with the 1xD bias row repeated across the rows of x."""
+    _require_linear(x.value, weight, bias)
+    value = x.value @ weight.value + bias.value
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g @ weight.value.T)
+        _linear_params_backward(x.value, weight, bias, g)
+
+    return _make(value, (x, weight, bias), backward)
 
 
 def lerp(w: Node, a: Node, b: Node) -> Node:

@@ -190,6 +190,19 @@ class TestTrainAndCv:
         assert run(["cv", "--manifest", tmp_path / "nope.json",
                     "--out", tmp_path / "o"]) == 3
 
+    def test_parent_index_beyond_int64_exit_code(self, cohort_dir, tmp_path, capsys):
+        parents = cohort_dir / "p0003_parents.txt"
+        parents.write_bytes(b"1" * 20 + parents.read_bytes()[1:])
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json",
+                    "--out", tmp_path / "o"]) == 3
+        assert str(parents) in capsys.readouterr().err
+
+    def test_negative_matrix_header_exit_code(self, cohort_dir, tmp_path, capsys):
+        (cohort_dir / "p0003_patch.mat").write_bytes(b"-2 -4\n" + bytes(64))
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json",
+                    "--out", tmp_path / "o"]) == 3
+        assert "negative dimensions" in capsys.readouterr().err
+
     def test_bad_switch_value_exit_code(self, cohort_dir, tmp_path):
         assert run(["cv", "--manifest", cohort_dir / "manifest.json",
                     "--out", tmp_path / "o", "--switch", "use_contrast=perhaps"]) == 2

@@ -13,6 +13,7 @@ from promptsurv.data import (
     generate_synthetic,
     load_cohort,
     read_matrix,
+    read_parent_map,
     top_count,
     write_cohort,
     write_matrix,
@@ -183,6 +184,133 @@ class TestCohortIO:
         manifest.write_text(json.dumps(raw))
         loaded, loaded_prompts = load_cohort(manifest)
         assert len(loaded) == 2 and loaded_prompts == {}
+
+
+def read_parent_map_per_line(path) -> np.ndarray:
+    """The reference parent-map reader: one Python int() per line."""
+    with open(path, "r", encoding="ascii") as fh:
+        return np.array([int(ln) for ln in fh if ln.strip()], dtype=np.int64)
+
+
+INT64_MAX, INT64_MIN = 2**63 - 1, -2**63
+
+# accepted alike by read_parent_map and the per-line reader
+PARENT_MAPS_ACCEPTED = [
+    b"0\n1\n1\n2\n",                          # the written format
+    b"0\n1\n2",                               # no final newline
+    b"\n0\n  \n\t\n1\n\n",                    # blank and whitespace lines
+    b"0\r\n1\r\n",                            # CRLF
+    b"0\r1\r",                                # lone CR
+    b"\t0\t\n 1 \n\x0b2\x0c\n",               # tabs, spaces, \v and \f
+    b"+1\n+0\n",                              # a plus sign
+    b"007\n00\n-00\n",                        # leading zeros
+    b"\x1c\x1f \n3\n",                        # \x1c-\x1f on a line without a number
+    b"%d\n%d\n" % (INT64_MAX, INT64_MIN),      # the int64 extremes
+    b"0" * 40 + b"%d\n-" % INT64_MAX + b"0" * 30 + b"%d\n" % -INT64_MIN,
+    b"-1\n0\n",                               # negative: rejected later
+    b"",                                      # empty: rejected later
+]
+
+# rejected alike by read_parent_map and the per-line reader
+PARENT_MAPS_REJECTED = [
+    b"0\n\xff\n", b"1.5\n", b"1 2\n", b"0x1\n", b"1e3\n", b"abc\n", b"\x00\n",
+    b"+\n", b"-\n", b"--1\n", b"+-1\n", b"1-\n", b"1+2\n", b"- 1\n",
+    b"\x1c1\n", b"1\x1c\n", b"1 \x1f\n", b"0\n\xd9\xa3\n",
+]
+
+# accepted or overflowing in the per-line reader, rejected now
+PARENT_MAPS_NOW_REJECTED = [
+    b"1_0\n", b"%d\n" % (INT64_MAX + 1), b"%d\n" % (INT64_MIN - 1), b"9" * 20 + b"\n",
+    b"1" + b"0" * 40 + b"\n",
+]
+
+
+class TestReaders:
+    @pytest.mark.parametrize("content", PARENT_MAPS_ACCEPTED)
+    def test_parent_map_matches_the_per_line_reader(self, tmp_path, content):
+        path = tmp_path / "parents.txt"
+        path.write_bytes(content)
+        got = read_parent_map(path)
+        assert got.dtype == np.int64 and got.ndim == 1
+        assert got.tobytes() == read_parent_map_per_line(path).tobytes()
+
+    @pytest.mark.parametrize("content", PARENT_MAPS_REJECTED)
+    def test_parent_map_rejected_like_the_per_line_reader(self, tmp_path, content):
+        path = tmp_path / "parents.txt"
+        path.write_bytes(content)
+        with pytest.raises(ValueError):
+            read_parent_map_per_line(path)
+        with pytest.raises(DataValidationError, match="parents.txt"):
+            read_parent_map(path)
+
+    @pytest.mark.parametrize("content", PARENT_MAPS_NOW_REJECTED)
+    def test_underscores_and_values_outside_int64_rejected(self, tmp_path, content):
+        path = tmp_path / "parents.txt"
+        path.write_bytes(content)
+        with pytest.raises(DataValidationError, match="parents.txt"):
+            read_parent_map(path)
+
+    def test_parent_map_agrees_with_the_per_line_reader_on_random_bytes(self, tmp_path):
+        # short lines of digits, signs, whitespace and a few bytes outside the
+        # grammar; too short to leave int64, and free of underscores
+        alphabet = [b"0", b"1", b"7", b"9", b"-", b"+", b" ", b"\t", b"\n", b"\r",
+                    b"\x0b", b"\x0c", b"\x1c", b".", b"x", b"\xff"]
+        rng = np.random.default_rng(14)
+        path = tmp_path / "parents.txt"
+        for _ in range(2000):
+            path.write_bytes(b"".join(alphabet[i] for i in
+                                      rng.integers(len(alphabet), size=rng.integers(12))))
+            try:
+                want = read_parent_map_per_line(path).tobytes()
+            except ValueError:
+                with pytest.raises(DataValidationError):
+                    read_parent_map(path)
+            else:
+                assert read_parent_map(path).tobytes() == want, path.read_bytes()
+
+    def test_missing_parent_map(self, tmp_path):
+        with pytest.raises(DataValidationError, match="missing parent map"):
+            read_parent_map(tmp_path / "nope.txt")
+
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()])
+    def test_missing_or_directory_matrix(self, tmp_path, make):
+        path = tmp_path / "m.mat"
+        make(path)
+        with pytest.raises(DataValidationError, match="missing embedding file"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"abc\n" + bytes(8), "bad header"),
+        (b"1 2 3\n" + bytes(48), "bad header"),
+        (b"-2 -4\n" + bytes(64), "negative dimensions"),
+        (b"2 4\n" + bytes(63), "expected 64 payload bytes for 2x4, got 63"),
+        (b"2 4\n" + bytes(65), "expected 64 payload bytes for 2x4, got 65"),
+    ])
+    def test_malformed_matrix_rejected(self, tmp_path, content, message):
+        path = tmp_path / "m.mat"
+        path.write_bytes(content)
+        with pytest.raises(DataValidationError, match=message):
+            read_matrix(path)
+
+    def test_lying_header_sizes_no_allocation(self, tmp_path):
+        # 2**30 x 2**30 float64 values would be 8 EiB; only the file size check
+        # stands between the header and the allocation
+        path = tmp_path / "m.mat"
+        path.write_bytes(b"%d %d\n" % (2**30, 2**30) + bytes(16))
+        with pytest.raises(DataValidationError, match="expected 9223372036854775808"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"-1\n" * 24, "out of range"),
+        (b"", "0 entries for 24 patches"),
+        (b"0\n" * 23 + b"%d\n" % (INT64_MAX + 1), "p0000_parents.txt"),
+    ])
+    def test_cohort_parent_map_rejected(self, tmp_path, content, message):
+        records, prompts, _ = generate_synthetic(small_spec(n_patients=1))
+        manifest = write_cohort(records, prompts, tmp_path)
+        (tmp_path / "p0000_parents.txt").write_bytes(content)
+        with pytest.raises(DataValidationError, match=message):
+            load_cohort(manifest)
 
 
 class TestManifestTypes:

@@ -3,7 +3,7 @@ import pytest
 
 import ad_chain as ad
 from promptsurv.errors import DataValidationError, ShapeError
-from promptsurv.fusion import GateParams, gate_fuse, linear, pool_to_regions
+from promptsurv.fusion import GateParams, gate_fuse, pool_to_regions
 
 
 def make_gate(d, fill=0.0, gate_bias=0.0):
@@ -120,7 +120,7 @@ class TestGateFuse:
         params.b_gate = ad.parameter(np.full((1, d), 30.0))
         params.w_gate = ad.parameter(np.zeros((2 * d, d)))
         out = gate_fuse(pooled, regions, params)
-        expected = linear(ad.constant(pooled_values), params.w_patch, params.b_patch)
+        expected = ad.linear(ad.constant(pooled_values), params.w_patch, params.b_patch)
         assert out.value == pytest.approx(np.tanh(expected.value), abs=1e-12)
 
     def test_saturated_negative_gate_selects_region_stream(self):
@@ -133,7 +133,7 @@ class TestGateFuse:
         params.b_gate = ad.parameter(np.full((1, d), -30.0))
         params.w_gate = ad.parameter(np.zeros((2 * d, d)))
         out = gate_fuse(pooled, regions, params)
-        expected = linear(ad.constant(region_values), params.w_region, params.b_region)
+        expected = ad.linear(ad.constant(region_values), params.w_region, params.b_region)
         assert out.value == pytest.approx(np.tanh(expected.value), abs=1e-12)
 
     def test_output_strictly_inside_unit_interval(self):
