@@ -20,12 +20,13 @@ one node per module:
   row), sigmoid, two tanh and lerp;
 - `gated_attention`: three matmul, tanh, sigmoid, mul, softmax_cols and
   transpose;
-- `mean_logistic`: mean_rows, `linear` and sigmoid;
+- `mean_logistic`: mean_rows, `linear` and sigmoid; constant rows stacked
+  above its input (concat_rows) come in as their row sum, since constant
+  head rows are cached as their row sum;
 - `cumprod_complement`: one 1 - h and running product per column;
 - `neg_log_sum`: one neg(log(clamp_min(entry))) per term, then add;
 - `normalized_col_sum`: sum_cols, then division by the Euclidean norm;
-- `contrastive`: the two-product, exp, log-sum chain of one loss direction;
-- `gather_concat_rows`: gather_rows on a constant bag, then concat_rows.
+- `contrastive`: the two-product, exp, log-sum chain of one loss direction.
 
 Each performs the same floating-point operations, in the same order, as its
 chain, in its value and in every gradient it accumulates, so the graph is
@@ -170,32 +171,6 @@ def scale(a: Node, factor: float) -> Node:
     return _make(factor * a.value, (a,), backward)
 
 
-def sigmoid(a: Node) -> Node:
-    value = _sigmoid(a.value)
-
-    def backward(g):
-        a.accumulate(g * value * (1.0 - value))
-
-    return _make(value, (a,), backward)
-
-
-def concat_rows(a: Node, b: Node) -> Node:
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ShapeError(
-            f"concat_rows column mismatch: {a.value.shape} vs {b.value.shape}"
-        )
-    value = np.concatenate([a.value, b.value], axis=0)
-    split = a.value.shape[0]
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g[:split])
-        if b.requires_grad:
-            b.accumulate(g[split:])
-
-    return _make(value, (a, b), backward)
-
-
 def gather_rows(a: Node, indices) -> Node:
     """Hard row selection; backward scatters gradients to the picked rows."""
     idx = _checked_indices("gather_rows", indices, a.value.shape[0])
@@ -211,27 +186,6 @@ def gather_rows(a: Node, indices) -> Node:
 
 # ---------------------------------------------------------------------------
 # fused operations
-
-
-def gather_concat_rows(bag, indices, tail: Node) -> Node:
-    """The rows of the constant matrix `bag` at `indices`, then the rows of
-    `tail`; only `tail` receives a gradient."""
-    bag = as_matrix(bag)
-    idx = _checked_indices("gather_concat_rows", indices, bag.shape[0])
-    k, tv = idx.size, tail.value
-    if tv.shape[1] != bag.shape[1]:
-        raise ShapeError(f"gather_concat_rows column mismatch: {(k, bag.shape[1])} "
-                         f"vs {tv.shape}")
-    value = np.empty((k + tv.shape[0], tv.shape[1]))
-    # the indices are checked above; np.take's default mode="raise" would
-    # gather into a buffer and copy that into `value`
-    np.take(bag, idx, axis=0, out=value[:k], mode="clip")
-    value[k:] = tv
-
-    def backward(g):
-        tail.accumulate(g[k:])
-
-    return _make(value, (tail,), backward)
 
 
 def gate_blend(pooled: Node, regions: Node, w_gate: Node, b_gate: Node,
@@ -322,11 +276,25 @@ def gated_attention(bag: Node, v: Node, u: Node, w: Node) -> Node:
     return _make(value, (bag, v, u, w), backward)
 
 
-def mean_logistic(x: Node, weight: Node, bias: Node) -> Node:
-    """sigmoid(linear(column means of x, weight, bias)): MxD -> 1xT."""
+def mean_logistic(x: Node, weight: Node, bias: Node, prefix=None) -> Node:
+    """sigmoid(linear(column means of x, weight, bias)): MxD -> 1xT.
+
+    `prefix` is None, or (row_sum, count) for `count` constant rows stacked
+    above x, given by their 1xD row sum: the means are then over all
+    count + M rows, reduce([row_sum; x]) / (count + M), and only x receives a
+    gradient. For D >= 2 np.add.reduce adds rows in order, so this is bit
+    for bit the mean of the whole stack when row_sum is the in-order sum of
+    the constant rows.
+    """
     _require_nonempty("mean_logistic", x)
-    m = x.value.shape[0]
-    pooled = np.add.reduce(x.value, axis=0, keepdims=True) / m  # the column means
+    rows, m = x.value, x.value.shape[0]
+    if prefix is not None:
+        row_sum, count = prefix
+        if row_sum.shape != (1, rows.shape[1]):
+            raise ShapeError(f"mean_logistic prefix row {row_sum.shape} for rows of "
+                             f"shape {rows.shape}")
+        rows, m = np.concatenate([row_sum, rows]), count + m
+    pooled = np.add.reduce(rows, axis=0, keepdims=True) / m  # the column means
     _require_linear(pooled, weight, bias)
     value = _sigmoid(pooled @ weight.value + bias.value)
 
@@ -503,46 +471,3 @@ def _require_same_shape(op: str, a: Node, b: Node):
 def _require_nonempty(op: str, a: Node):
     if a.value.size == 0:
         raise EmptyInputError(f"{op} on empty matrix of shape {a.value.shape}")
-
-
-# ---------------------------------------------------------------------------
-# verification harness
-
-
-def grad_check(f, params, h: float = 1e-5) -> float:
-    """Compare analytic gradients of a scalar function against central differences.
-
-    `f` maps the given parameter nodes to a scalar (1x1) Node and must be a
-    pure function of their values. Returns the maximum over all parameter
-    coordinates of |analytic - numeric| / max(1, |analytic|).
-    """
-    if not 0.0 < h <= 1e-3:
-        raise DomainError(f"step size h={h} outside (0, 1e-3]")
-    for p in params:
-        p.zero_grad()
-    out = f(params)
-    if out.value.shape != (1, 1):
-        raise ShapeError(f"grad_check target must be scalar, got {out.value.shape}")
-    out.backward()
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
-        for p in params
-    ]
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.value.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = f(params).value[0, 0]
-            flat[i] = orig - h
-            f_minus = f(params).value[0, 0]
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise DomainError(f"non-finite objective near coordinate {i}")
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a = ga.ravel()[i]
-            err = abs(a - numeric) / max(1.0, abs(a))
-            worst = max(worst, err)
-    return worst

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -257,23 +258,32 @@ def write_matrix(path, arr: np.ndarray):
         fh.write(arr.astype("<f8").tobytes(order="C"))
 
 
+# a matrix header: two numbers, each as the parent-map grammar below takes one
+# (an optional sign, then ASCII digits), between ASCII whitespace
+_HEADER = re.compile(rb"\s*([+-]?[0-9]+)\s+([+-]?[0-9]+)\s*")
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file straight into one preallocated float64 array.
 
-    The file size is checked against the header before anything is
-    allocated, so a header that lies about its dimensions sizes nothing."""
+    The header holds two integers in the parent-map grammar (an optional
+    sign, then ASCII digits), neither negative nor beyond int64. The file
+    size is checked against it before anything is allocated, so a header
+    that lies about its dimensions sizes nothing."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise DataValidationError(f"missing embedding file: {path}") from exc
     with fh:
         header = fh.readline()
-        try:
-            rows, cols = (int(tok) for tok in header.split())
-        except ValueError as exc:
-            raise DataValidationError(f"bad header in {path}: {header!r}") from exc
+        dims = _HEADER.fullmatch(header)
+        if dims is None:
+            raise DataValidationError(f"bad header in {path}: {header!r}")
+        rows, cols = int(dims[1]), int(dims[2])
         if rows < 0 or cols < 0:
             raise DataValidationError(f"bad header in {path}: negative dimensions {rows}x{cols}")
+        if max(rows, cols) >= 2**63:
+            raise DataValidationError(f"bad header in {path}: dimension outside int64")
         expected = rows * cols * 8
         got = os.fstat(fh.fileno()).st_size - len(header)
         if got == expected:

@@ -57,13 +57,17 @@ def pool_to_regions(selected_tokens: np.ndarray, selected_indices: np.ndarray,
     start = 0
     for region, end in enumerate(ends):
         if end > start:
-            block = rows[start:end]
-            # reduce adds the rows in order, except a single column, which it
-            # adds pairwise
-            pooled[region] += (np.add.reduce(block, axis=0) if block.shape[1] > 1
-                               else np.add.accumulate(block, axis=0)[-1])
+            pooled[region] += row_sum(rows[start:end])[0]
         start = end
     return pooled
+
+
+def row_sum(rows: np.ndarray) -> np.ndarray:
+    """The rows of a matrix added in order, as a 1xD row. np.add.reduce adds
+    rows in order, except a single column, which it adds pairwise."""
+    if rows.shape[1] > 1:
+        return np.add.reduce(rows, axis=0, keepdims=True)
+    return np.add.accumulate(rows, axis=0)[-1:]
 
 
 def gate_fuse(pooled: ad.Node, region_bag: ad.Node, params: GateParams) -> ad.Node:

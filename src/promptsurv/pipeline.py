@@ -17,13 +17,16 @@ Whenever alignment reads a raw bag (every patch-level selection, and the
 region level of variants without the gate), its selection depends on the
 tokens, the prompts and the scoring settings only, never on a parameter.
 Each fold caches, once per patient, the constant inputs no parameter
-reaches: those selections, the tokens they keep, the patch evidence pooled
-into regions, the patch prototype and the region bag. With the gate on (F
-and G) a step copies the kept patch tokens into its stack with the gated
-region tokens anyway, so the cache keeps only their indices and the step
-reads the rows from the bag. A training step builds only the gated path
-and the head. The same rule counts solver health: a raw-bag selection
-counts once per patient per fold, a gated selection at every use.
+reaches: those selections, the patch evidence pooled into regions, the
+patch prototype, the region bag, and the head's constant rows. The head
+reads only the column means of its token stack, so constant head rows are
+cached as their row sum: without the gate (B-E) the whole stack is
+constant and the head reads its mean, one row; with it (F and G) the
+selected patch rows are a (row sum, count) prefix of the gated region rows,
+and their indices stay only for the selection log. A training step builds
+only the gated path and the head. The same rule counts solver health: a
+raw-bag selection counts once per patient per fold, a gated selection at
+every use.
 
 The one thing folds may share is a read-mostly selection memo. Given one,
 `cross_validate` solves each raw bag once per patient and hands the indices
@@ -62,7 +65,7 @@ from .data import (PATCH, REGION, FeatureBag, PatientRecord, PromptSet, read_set
                    require_unique_ids, write_json)
 from .errors import (ConfigError, DataValidationError, DegenerateInputError, MetricError,
                      TrainingError)
-from .fusion import GateParams, gate_fuse, pool_to_regions
+from .fusion import GateParams, gate_fuse, pool_to_regions, row_sum
 from .metrics import (
     KM_COLUMNS,
     KMCurve,
@@ -315,8 +318,8 @@ class Pipeline:
 
     A patient's constants (see `_constants`) are built on first use in this
     fold; a later use under the same id with other bags is an error. They
-    are the constant inputs of the model, except that with the gate on the
-    selected patch tokens are kept as indices into the patient's bag. `memo`
+    are the constant inputs of the model; constant head rows are cached as
+    their row sum, and selected indices are kept for the selection log. `memo`
     maps (patient_id, level, scoring) to the raw bag and prompt set and the
     selection alignment makes from them. No parameter reaches those
     selections, so one memo may serve every fold and every variant run on the
@@ -392,37 +395,47 @@ class Pipeline:
         return self._use(entry[2], level)
 
     def _constants(self, rec: PatientRecord) -> tuple:
-        """The patch tokens the model reads (the selected ones; all of them in
-        A; None with the gate on), their pooling into regions (gate on) and
-        prototype (contrast on, lambda > 0), the region bag (gate on) or its
-        selected rows, and (level, kept indices) per raw-bag selection. No
-        parameter reaches them, so they are built once per patient and cached
-        with its bags. With the gate on, `forward` reads the selected patch
-        rows from the bag by their indices at every step."""
+        """What the model reads that no parameter reaches, built once per
+        patient and cached with its bags. Constant head rows are cached as
+        their row sum: without the gate the head's tokens are the column mean
+        of the fused stack, one row (in A the whole patch bag, for the
+        attention pooling); with it the head's prefix is the row sum and count
+        of the selected patch rows. Then the patch evidence pooled into
+        regions (gate on), the patch prototype (contrast on, lambda > 0, built
+        from the same row sum), the region bag (gate on) or its selected rows,
+        and (level, kept indices) per raw-bag selection, for the selection
+        log."""
         cached = self._cache.get(rec.patient_id)
         if cached is None:
             sw = self.switches
             tokens, chosen = rec.patch_bag.tokens, ()
-            pooled = prototype = region = None
+            prefix = pooled = prototype = region = None
             if sw.use_selection:
                 idx = self._select(rec, PATCH)
                 tokens, chosen = tokens[idx], ((PATCH, idx),)
-                if sw.use_gate:
-                    pooled = ad.constant(pool_to_regions(
-                        tokens, idx, rec.patch_bag.parent_region, rec.region_bag.size))
-            patch = ad.constant(tokens)
-            if sw.use_contrast and self.cfg.lam > 0.0:
-                prototype = make_prototype(patch, rec.patient_id)
+                patch_sum = row_sum(tokens)
+                if sw.use_contrast and self.cfg.lam > 0.0:
+                    prototype = make_prototype(ad.constant(patch_sum), rec.patient_id)
             if sw.use_regions:
-                region = ad.constant(rec.region_bag.tokens)
+                region = rec.region_bag.tokens
                 if not sw.use_gate:
                     region_idx = self._select(rec, REGION)
                     chosen += ((REGION, region_idx),)
-                    region = ad.gather_rows(region, region_idx)
+                    region = region[region_idx]
+                region = ad.constant(region)
             if sw.use_gate:
-                patch = None
+                pooled = ad.constant(pool_to_regions(
+                    tokens, idx, rec.patch_bag.parent_region, rec.region_bag.size))
+                tokens, prefix = None, (patch_sum, idx.size)
+            elif sw.use_selection:
+                stack = fuse(tokens, None if region is None else region.value)
+                # the column means, bit for bit as the head takes them
+                tokens = ad.constant(np.add.reduce(stack, axis=0, keepdims=True) / len(stack))
+            else:
+                tokens = ad.constant(tokens)
             cached = self._cache[rec.patient_id] = (
-                rec.patch_bag, rec.region_bag, patch, pooled, prototype, region, chosen)
+                rec.patch_bag, rec.region_bag, tokens, prefix, pooled, prototype, region,
+                chosen)
         elif cached[0] is not rec.patch_bag or cached[1] is not rec.region_bag:
             raise DataValidationError(
                 f"patient {rec.patient_id} comes with other bags than the patient "
@@ -444,19 +457,15 @@ class Pipeline:
         Returns (hazard node, patch prototype as (node, queue entry) or None,
         selected region node or None, (level, kept indices) per selection).
         """
-        patch, pooled, patch_proto, region_node, chosen = self._constants(rec)
+        tokens, prefix, pooled, patch_proto, region_node, chosen = self._constants(rec)
         if self.switches.use_gate:
             region_input = gate_fuse(pooled, region_node, self.gate)
             region_idx = self._use(self._choose(region_input.value, REGION), REGION)
             chosen += ((REGION, region_idx),)
-            region_node = ad.gather_rows(region_input, region_idx)
-            (_, patch_idx), _ = chosen
-            tokens = ad.gather_concat_rows(rec.patch_bag.tokens, patch_idx, region_node)
-        else:
-            tokens = fuse(patch, region_node)
+            tokens = region_node = ad.gather_rows(region_input, region_idx)
         if self.attn is not None:
             tokens = attention_pool(tokens, self.attn)
-        return hazards(tokens, self.head), patch_proto, region_node, chosen
+        return hazards(tokens, self.head, prefix), patch_proto, region_node, chosen
 
     def patient_loss(self, rec: PatientRecord, update_queues: bool = True) -> ad.Node:
         """Total training loss node for one patient.

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import mean_logistic, neg_log_sum
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 LOG_CLAMP = 1e-12
 
@@ -38,16 +38,21 @@ class HeadParams:
     bias: ad.Node    # 1 x T
 
 
-def fuse(selected_patch: ad.Node, selected_region: ad.Node | None) -> ad.Node:
+def fuse(selected_patch: np.ndarray, selected_region: np.ndarray | None) -> np.ndarray:
     """Stack the selected patch and region tokens into one token set."""
     if selected_region is None:
         return selected_patch
-    return ad.concat_rows(selected_patch, selected_region)
+    if selected_patch.shape[1] != selected_region.shape[1]:
+        raise ShapeError(f"fuse column mismatch: {selected_patch.shape} vs "
+                         f"{selected_region.shape}")
+    return np.concatenate([selected_patch, selected_region])
 
 
-def hazards(fused: ad.Node, head: HeadParams) -> ad.Node:
-    """Per-bin hazard probabilities: sigmoid(linear(mean-pooled tokens))."""
-    return mean_logistic(fused, head.weight, head.bias)
+def hazards(tokens: ad.Node, head: HeadParams, prefix=None) -> ad.Node:
+    """Per-bin hazard probabilities: sigmoid(linear(mean-pooled tokens)).
+    `prefix` is None or (row sum, count) of constant rows stacked above the
+    tokens (see `autodiff.mean_logistic`)."""
+    return mean_logistic(tokens, head.weight, head.bias, prefix)
 
 
 def survival_curve(h: ad.Node) -> ad.Node:

@@ -1,11 +1,12 @@
 """The autodiff engine plus the operations that only the tests use.
 
-The elementary ops here (`neg`, `exp`, `log`, `clamp_min`, `sum_all`,
-`sum_rows`, `matmul`, `transpose`, `mul`, `tanh`, `sum_cols`, `mean_rows`,
-`concat_cols`, `softmax_cols`) and the fused `linear`, `lerp`,
-`l2_normalize_row` and `neg_log_entry` build the reference chains that the
-library's fused ops are checked against bit for bit, and the scalar losses
-handed to `grad_check`.
+The elementary ops here (`neg`, `exp`, `log`, `clamp_min`, `sigmoid`,
+`sum_all`, `sum_rows`, `matmul`, `transpose`, `mul`, `tanh`, `sum_cols`,
+`mean_rows`, `divide`, `concat_rows`, `concat_cols`, `softmax_cols`) and the
+fused `linear`, `lerp`, `l2_normalize_row` and `neg_log_entry` build the
+reference chains that the library's fused ops are checked against bit for
+bit, and the scalar losses handed to `grad_check`, the finite-difference
+harness at the end of this module.
 No library code calls them, so they live here. The `*_chain` functions at
 the end compose them into the chain each of the library's module-level fused
 ops replaces, with the same signature. Test modules import this module as
@@ -20,8 +21,8 @@ import numpy as np
 from promptsurv.autodiff import *  # noqa: F401,F403
 from promptsurv.autodiff import (Node, _checked_exp, _checked_log,
                                  _linear_params_backward, _make, _require_linear,
-                                 _require_nonempty, _require_same_shape)
-from promptsurv.errors import DegenerateInputError, ShapeError
+                                 _require_nonempty, _require_same_shape, _sigmoid)
+from promptsurv.errors import DegenerateInputError, DomainError, ShapeError
 
 
 def neg(a: Node) -> Node:
@@ -61,6 +62,15 @@ def clamp_min(a: Node, floor: float) -> Node:
     def backward(g):
         if a.requires_grad:
             a.accumulate(g * mask)
+
+    return _make(value, (a,), backward)
+
+
+def sigmoid(a: Node) -> Node:
+    value = _sigmoid(a.value)
+
+    def backward(g):
+        a.accumulate(g * value * (1.0 - value))
 
     return _make(value, (a,), backward)
 
@@ -155,6 +165,32 @@ def mean_rows(a: Node) -> Node:
         a.accumulate(np.broadcast_to(g / m, a.value.shape).copy())
 
     return _make(value, (a,), backward)
+
+
+def divide(a: Node, count: int) -> Node:
+    """Entrywise a / count: a true division, not a product with 1 / count."""
+
+    def backward(g):
+        a.accumulate(g / count)
+
+    return _make(a.value / count, (a,), backward)
+
+
+def concat_rows(a: Node, b: Node) -> Node:
+    if a.value.shape[1] != b.value.shape[1]:
+        raise ShapeError(
+            f"concat_rows column mismatch: {a.value.shape} vs {b.value.shape}"
+        )
+    value = np.concatenate([a.value, b.value], axis=0)
+    split = a.value.shape[0]
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g[:split])
+        if b.requires_grad:
+            b.accumulate(g[split:])
+
+    return _make(value, (a, b), backward)
 
 
 def concat_cols(a: Node, b: Node) -> Node:
@@ -273,8 +309,14 @@ def gated_attention_chain(bag: Node, v: Node, u: Node, w: Node) -> Node:
     return matmul(transpose(weights), bag)
 
 
-def mean_logistic_chain(x: Node, weight: Node, bias: Node) -> Node:
-    return sigmoid(linear(mean_rows(x), weight, bias))
+def mean_logistic_chain(x: Node, weight: Node, bias: Node, prefix=None) -> Node:
+    if prefix is None:
+        pooled = mean_rows(x)
+    else:
+        row_sum, count = prefix
+        stacked = concat_rows(constant(row_sum), x)
+        pooled = divide(sum_cols(stacked), count + x.shape[0])
+    return sigmoid(linear(pooled, weight, bias))
 
 
 def neg_log_sum_chain(entries, floor: float) -> Node:
@@ -289,5 +331,44 @@ def normalized_col_sum_chain(a: Node) -> Node:
     return l2_normalize_row(sum_cols(a))
 
 
-def gather_concat_rows_chain(bag, indices, tail: Node) -> Node:
-    return concat_rows(gather_rows(constant(bag), indices), tail)
+# ---------------------------------------------------------------------------
+# verification harness
+
+
+def grad_check(f, params, h: float = 1e-5) -> float:
+    """Compare analytic gradients of a scalar function against central differences.
+
+    `f` maps the given parameter nodes to a scalar (1x1) Node and must be a
+    pure function of their values. Returns the maximum over all parameter
+    coordinates of |analytic - numeric| / max(1, |analytic|).
+    """
+    if not 0.0 < h <= 1e-3:
+        raise DomainError(f"step size h={h} outside (0, 1e-3]")
+    for p in params:
+        p.zero_grad()
+    out = f(params)
+    if out.value.shape != (1, 1):
+        raise ShapeError(f"grad_check target must be scalar, got {out.value.shape}")
+    out.backward()
+    analytic = [
+        p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
+        for p in params
+    ]
+
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.value.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = f(params).value[0, 0]
+            flat[i] = orig - h
+            f_minus = f(params).value[0, 0]
+            flat[i] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise DomainError(f"non-finite objective near coordinate {i}")
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            a = ga.ravel()[i]
+            err = abs(a - numeric) / max(1.0, abs(a))
+            worst = max(worst, err)
+    return worst

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import build_cohort, read_all_bytes
-from promptsurv import autodiff as ad
+import ad_chain as ad
 from promptsurv.cli import main as cli_main
 from promptsurv.contrast import Prototype
 from promptsurv.data import SynthSpec, discretize_times, generate_synthetic

@@ -3,6 +3,7 @@ import pytest
 
 import ad_chain as ad
 from promptsurv.errors import DegenerateInputError, DomainError, EmptyInputError, ShapeError
+from promptsurv.fusion import row_sum
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -675,6 +676,63 @@ class TestFusedModuleOps:
         with pytest.raises(ShapeError, match="linear"):
             op(ad.constant(np.ones((2, 4))), weight, bias)
 
+    def test_prefixed_mean_logistic_equals_the_chain_over_the_whole_stack(self):
+        # constant rows P stacked above x reach the op as their row sum
+        rng = np.random.default_rng(900)
+        for case in range(1200):
+            d = (2, 8, 32, 64)[case % 4]
+            n, m, t = int(rng.integers(1, 1301)), int(rng.integers(1, 9)), int(rng.integers(2, 6))
+            bag = rng.normal(size=(n, d))
+            arrays = [rng.normal(size=(m, d)), rng.normal(scale=3.0, size=(d, t)), None]
+            arrays[2] = signed_bias(np.vstack([bag, arrays[0]]).mean(axis=0, keepdims=True)
+                                    @ arrays[1], rng)
+            fused, chain = twin_inputs(arrays, [True, True, True])
+            prefix = (np.add.reduce(bag, axis=0, keepdims=True), n)
+            assert_same_as_chain(ad.mean_logistic(*fused, prefix),
+                                 ad.mean_logistic_chain(ad.concat_rows(ad.constant(bag), chain[0]),
+                                                        *chain[1:]),
+                                 rng.normal(size=(1, t)), fused, chain)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_prefixed_mean_logistic_equals_its_chain(self, seed):
+        rng = np.random.default_rng(920 + seed)
+        n, m, d, t = (int(v) for v in rng.integers(1, 9, size=4))
+        arrays = [rng.normal(size=(m, d)), rng.normal(scale=3.0, size=(d, t)),
+                  rng.normal(size=(1, t))]
+        prefix = (rng.normal(size=(1, d)), n)
+        fused, chain = twin_inputs(arrays, [True, True, True])
+        assert_same_as_chain(ad.mean_logistic(*fused, prefix),
+                             ad.mean_logistic_chain(*chain, prefix),
+                             rng.normal(size=(1, t)), fused, chain)
+
+    def test_prefix_of_one_channel_is_the_in_order_sum(self):
+        # np.add.reduce adds a single column pairwise; the head prefix is the
+        # in-order sum there, so under a few tail rows the pooled row is the
+        # in-order running sum of the whole stack
+        rng = np.random.default_rng(950)
+        bag, x = rng.normal(size=(1300, 1)), rng.normal(size=(3, 1))
+        weight, bias = ad.constant(rng.normal(size=(1, 2))), ad.constant(rng.normal(size=(1, 2)))
+        stack = np.vstack([bag, x])
+        in_order = np.add.accumulate(stack, axis=0)[-1:]
+        assert not np.array_equal(in_order, np.add.reduce(stack, axis=0, keepdims=True))
+        out = ad.mean_logistic(ad.constant(x), weight, bias, (row_sum(bag), 1300))
+        expected = ad.sigmoid(ad.linear(ad.constant(in_order / 1303), weight, bias))
+        assert np.array_equal(out.value, expected.value)
+
+    @pytest.mark.parametrize("op", [ad.mean_logistic, ad.mean_logistic_chain])
+    def test_prefix_of_another_width_rejected(self, op):
+        weight, bias = ad.parameter(np.ones((3, 2))), ad.parameter(np.ones((1, 2)))
+        with pytest.raises(ShapeError):
+            op(ad.constant(np.ones((2, 3))), weight, bias, (np.ones((1, 4)), 5))
+
+    def test_prefixed_mean_logistic_matches_finite_differences(self):
+        rng = np.random.default_rng(960)
+        params = [ad.parameter(rng.normal(size=s)) for s in [(3, 4), (4, 2), (1, 2)]]
+        prefix = (rng.normal(size=(1, 4)), 7)
+        weights = rng.normal(size=(1, 2))
+        assert ad.grad_check(lambda p: weighted_sum(ad.mean_logistic(*p, prefix), weights),
+                             params, h=1e-5) <= 1e-6
+
     @pytest.mark.parametrize("censor", [0, 1])
     @pytest.mark.parametrize("seed", range(4))
     def test_neg_log_sum_equals_its_chain_on_a_survival_row(self, seed, censor):
@@ -723,29 +781,6 @@ class TestFusedModuleOps:
             op(ad.constant([[1.0, -2.0], [-1.0, 2.0]]))
         with pytest.raises(EmptyInputError):
             op(ad.constant(np.zeros((0, 2))))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gather_concat_rows_equals_its_chain(self, seed):
-        rng = np.random.default_rng(800 + seed)
-        m, d, rows = int(rng.integers(1, 12)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
-        bag = rng.normal(size=(m, d))
-        indices = rng.integers(0, m, size=int(rng.integers(0, 2 * m)))  # repeats, any order
-        fused, chain = twin_inputs([rng.normal(size=(rows, d))], [True])
-        assert_same_as_chain(ad.gather_concat_rows(bag, indices, *fused),
-                             ad.gather_concat_rows_chain(bag, indices, *chain),
-                             rng.normal(size=(indices.size + rows, d)), fused, chain)
-
-    @pytest.mark.parametrize("op", [ad.gather_concat_rows, ad.gather_concat_rows_chain])
-    def test_gather_concat_rows_raises_the_chains_shape_errors(self, op):
-        bag, tail = np.ones((4, 3)), ad.parameter(np.ones((2, 3)))
-        with pytest.raises(ShapeError, match="column mismatch"):
-            op(bag, [0, 3], ad.parameter(np.ones((2, 2))))
-        with pytest.raises(ShapeError, match="out of range for 4 rows"):
-            op(bag, [0, 4], tail)
-        with pytest.raises(ShapeError, match="out of range for 4 rows"):
-            op(bag, [-1], tail)
-        with pytest.raises(ShapeError, match="1-D"):
-            op(bag, [[0]], tail)
 
     def test_fused_module_ops_match_finite_differences(self):
         rng = np.random.default_rng(700)

@@ -203,6 +203,14 @@ class TestTrainAndCv:
                     "--out", tmp_path / "o"]) == 3
         assert "negative dimensions" in capsys.readouterr().err
 
+    def test_matrix_header_outside_the_parent_map_grammar_exit_code(self, cohort_dir,
+                                                                   tmp_path, capsys):
+        patch = cohort_dir / "p0003_patch.mat"
+        patch.write_bytes(b"1_0 +1\n" + bytes(80))
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json",
+                    "--out", tmp_path / "o"]) == 3
+        assert f"bad header in {patch}" in capsys.readouterr().err
+
     def test_bad_switch_value_exit_code(self, cohort_dir, tmp_path):
         assert run(["cv", "--manifest", cohort_dir / "manifest.json",
                     "--out", tmp_path / "o", "--switch", "use_contrast=perhaps"]) == 2

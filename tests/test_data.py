@@ -292,6 +292,29 @@ class TestReaders:
         with pytest.raises(DataValidationError, match=message):
             read_matrix(path)
 
+    @pytest.mark.parametrize("header, message", [
+        (b"1_0 +1", "bad header"),                        # int() takes the underscore
+        (b"1 1_0", "bad header"),
+        ("\u0661\u0660 1".encode(), "bad header"),          # Arabic-Indic digits
+        (b"\x1c10 1", "bad header"),
+        (b"+-10 1", "bad header"),
+        (b"10+ 1", "bad header"),
+        (b"%d 1" % (INT64_MAX + 1), "outside int64"),
+        (b"1 %d" % 2**64, "outside int64"),
+    ])
+    def test_header_outside_the_parent_map_grammar_rejected(self, tmp_path, header, message):
+        path = tmp_path / "m.mat"
+        path.write_bytes(header + b"\n" + bytes(80))
+        with pytest.raises(DataValidationError, match=message) as err:
+            read_matrix(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("header", [b"+10 1", b" 10\t+1 ", b"0010 01", b"10 1\r"])
+    def test_header_in_the_parent_map_grammar_accepted(self, tmp_path, header):
+        path = tmp_path / "m.mat"
+        path.write_bytes(header + b"\n" + bytes(80))
+        assert read_matrix(path).shape == (10, 1)
+
     def test_lying_header_sizes_no_allocation(self, tmp_path):
         # 2**30 x 2**30 float64 values would be 8 EiB; only the file size check
         # stands between the header and the allocation

@@ -3,7 +3,7 @@ import pytest
 
 import ad_chain as ad
 from promptsurv.errors import DataValidationError, ShapeError
-from promptsurv.fusion import GateParams, gate_fuse, pool_to_regions
+from promptsurv.fusion import GateParams, gate_fuse, pool_to_regions, row_sum
 
 
 def make_gate(d, fill=0.0, gate_bias=0.0):
@@ -98,6 +98,21 @@ class TestPoolToRegions:
             pooled = pool_to_regions(tokens[selected], selected, parents, n_regions)
             assert np.array_equal(pooled, expected)
             assert np.array_equal(np.signbit(pooled), np.signbit(expected))
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("d", [1, 2, 3, 32])
+    def test_adds_the_rows_in_order(self, d):
+        # one column too, which np.add.reduce would add pairwise
+        rng = np.random.default_rng(d)
+        for m in (1, 7, 8, 9, 300, 1300):
+            rows = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+            expected = rows[0].copy()
+            for row in rows[1:]:
+                expected = expected + row
+            out = row_sum(rows)
+            assert out.shape == (1, d)
+            assert np.array_equal(out[0], expected)
 
 
 class TestGateFuse:
