@@ -22,7 +22,8 @@ one node per module:
   transpose;
 - `mean_logistic`: mean_rows, `linear` and sigmoid; constant rows stacked
   above its input (concat_rows) come in as their row sum, since constant
-  head rows are cached as their row sum;
+  head rows are cached as their row sum; it adds rows in order, which
+  mean_rows does too except on one column of 8 rows or more;
 - `cumprod_complement`: one 1 - h and running product per column;
 - `neg_log_sum`: one neg(log(clamp_min(entry))) per term, then add;
 - `normalized_col_sum`: sum_cols, then division by the Euclidean norm;
@@ -279,12 +280,10 @@ def gated_attention(bag: Node, v: Node, u: Node, w: Node) -> Node:
 def mean_logistic(x: Node, weight: Node, bias: Node, prefix=None) -> Node:
     """sigmoid(linear(column means of x, weight, bias)): MxD -> 1xT.
 
-    `prefix` is None, or (row_sum, count) for `count` constant rows stacked
-    above x, given by their 1xD row sum: the means are then over all
-    count + M rows, reduce([row_sum; x]) / (count + M), and only x receives a
-    gradient. For D >= 2 np.add.reduce adds rows in order, so this is bit
-    for bit the mean of the whole stack when row_sum is the in-order sum of
-    the constant rows.
+    The column sums add the rows in order (`_row_sum`). `prefix` is None, or
+    (row_sum, count) for `count` constant rows stacked above x, given by
+    their in-order 1xD row sum: the means are then over all count + M rows,
+    bit for bit those of the whole stack, and only x receives a gradient.
     """
     _require_nonempty("mean_logistic", x)
     rows, m = x.value, x.value.shape[0]
@@ -294,7 +293,7 @@ def mean_logistic(x: Node, weight: Node, bias: Node, prefix=None) -> Node:
             raise ShapeError(f"mean_logistic prefix row {row_sum.shape} for rows of "
                              f"shape {rows.shape}")
         rows, m = np.concatenate([row_sum, rows]), count + m
-    pooled = np.add.reduce(rows, axis=0, keepdims=True) / m  # the column means
+    pooled = _row_sum(rows) / m  # the column means
     _require_linear(pooled, weight, bias)
     value = _sigmoid(pooled @ weight.value + bias.value)
 
@@ -414,6 +413,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     second, so neither overflows."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """The rows of a matrix added in order, as a 1xD row. np.add.reduce adds
+    rows in order, except a single column, which it adds pairwise."""
+    if rows.shape[1] > 1:
+        return np.add.reduce(rows, axis=0, keepdims=True)
+    return np.add.accumulate(rows, axis=0)[-1:]
 
 
 def _linear_params_backward(x: np.ndarray, weight: Node, bias: Node, g: np.ndarray):

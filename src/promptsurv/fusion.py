@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import gate_blend
+from .autodiff import _row_sum as row_sum, gate_blend  # row_sum: the head's in-order sum
 from .errors import DataValidationError, ShapeError
 
 
@@ -60,14 +60,6 @@ def pool_to_regions(selected_tokens: np.ndarray, selected_indices: np.ndarray,
             pooled[region] += row_sum(rows[start:end])[0]
         start = end
     return pooled
-
-
-def row_sum(rows: np.ndarray) -> np.ndarray:
-    """The rows of a matrix added in order, as a 1xD row. np.add.reduce adds
-    rows in order, except a single column, which it adds pairwise."""
-    if rows.shape[1] > 1:
-        return np.add.reduce(rows, axis=0, keepdims=True)
-    return np.add.accumulate(rows, axis=0)[-1:]
 
 
 def gate_fuse(pooled: ad.Node, region_bag: ad.Node, params: GateParams) -> ad.Node:

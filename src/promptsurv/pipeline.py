@@ -17,16 +17,16 @@ Whenever alignment reads a raw bag (every patch-level selection, and the
 region level of variants without the gate), its selection depends on the
 tokens, the prompts and the scoring settings only, never on a parameter.
 Each fold caches, once per patient, the constant inputs no parameter
-reaches: those selections, the patch evidence pooled into regions, the
-patch prototype, the region bag, and the head's constant rows. The head
-reads only the column means of its token stack, so constant head rows are
-cached as their row sum: without the gate (B-E) the whole stack is
-constant and the head reads its mean, one row; with it (F and G) the
-selected patch rows are a (row sum, count) prefix of the gated region rows,
-and their indices stay only for the selection log. A training step builds
-only the gated path and the head. The same rule counts solver health: a
-raw-bag selection counts once per patient per fold, a gated selection at
-every use.
+reaches, in one of three shapes; the head reads only the column means of
+its token stack. A keeps the patch bag, for the attention pooling. B-E keep
+the mean of their constant stack, one row. F and G keep the gate's inputs
+(the patch evidence pooled into regions, the region bag), the selected
+patch rows as a (row sum, count) prefix of the gated region rows, and,
+while mutual contrastive learning (MCL) runs, the patch prototype built
+from that row sum. MCL needs the gate, its only trainable path. Selected
+indices stay only for the selection log. A training step builds only the
+gated path and the head. The same rule counts solver health: a raw-bag
+selection counts once per patient per fold, a gated selection at every use.
 
 The one thing folds may share is a read-mostly selection memo. Given one,
 `cross_validate` solves each raw bag once per patient and hands the indices
@@ -78,7 +78,6 @@ from .metrics import (
 from .optim import AdamState
 from .survival import (
     HeadParams,
-    LossConfig,
     fuse,
     hazards,
     nll_loss,
@@ -95,6 +94,16 @@ RISK_CONVENTION = (
 
 VARIANTS = "ABCDEFG"
 
+# (switch, the switch it needs, why), checked by VariantSwitches.validate
+SWITCH_RULES = (
+    ("use_contrast", "use_gate", "without the gate both prototypes are constants, "
+     "so no parameter learns from the contrast"),
+    ("use_gate", "use_regions", "the gate recalibrates the region bag"),
+    ("use_regions", "use_selection", "the region tokens are a selection"),
+    ("use_transport", "multi_prompt", "transport always aligns every prompt"),
+    ("multi_prompt", "use_selection", "prompts only score a selection"),
+)
+
 
 @dataclass
 class VariantSwitches:
@@ -104,6 +113,11 @@ class VariantSwitches:
     B: + single-prompt cosine top-r selection.  C: + multiple prompts.
     D: + transport alignment.  E: + region-level tokens.
     F: + gated cross-level recalibration.  G: + mutual contrastive loss.
+
+    Contrast needs the gate, which needs region tokens, which need
+    selection; transport needs multiple prompts, which need selection. Each
+    rule rejects combinations that train another's parameters, so the 13 of
+    the 64 that pass are 13 different models.
     """
 
     use_selection: bool = True
@@ -128,14 +142,10 @@ class VariantSwitches:
         )
 
     def validate(self):
-        if self.use_contrast and not self.use_regions:
-            raise ConfigError("contrastive consistency needs region tokens enabled")
-        if self.use_gate and not self.use_regions:
-            raise ConfigError("gated recalibration needs region tokens enabled")
-        if self.use_regions and not self.use_selection:
-            raise ConfigError("region tokens need selection enabled")
-        if (self.multi_prompt or self.use_transport) and not self.use_selection:
-            raise ConfigError("prompt scoring options need selection enabled")
+        """Raise ConfigError naming the first of `SWITCH_RULES` broken."""
+        for switch, needed, why in SWITCH_RULES:
+            if getattr(self, switch) and not getattr(self, needed):
+                raise ConfigError(f"{switch} needs {needed}: {why}")
 
     def as_dict(self) -> dict[str, bool]:
         return asdict(self)
@@ -318,8 +328,8 @@ class Pipeline:
 
     A patient's constants (see `_constants`) are built on first use in this
     fold; a later use under the same id with other bags is an error. They
-    are the constant inputs of the model; constant head rows are cached as
-    their row sum, and selected indices are kept for the selection log. `memo`
+    are the constant inputs of the model, in the shape its variant reads, and
+    selected indices are kept for the selection log. `memo`
     maps (patient_id, level, scoring) to the raw bag and prompt set and the
     selection alignment makes from them. No parameter reaches those
     selections, so one memo may serve every fold and every variant run on the
@@ -347,7 +357,8 @@ class Pipeline:
         self.params, self.head, self.gate, self.attn = build_parameters(
             d, cfg, self.switches, fold)
         self.adam = AdamState(self.params, lr=cfg.lr)
-        self.loss_cfg = LossConfig(lam=cfg.lam)
+        # mutual contrastive learning runs on the gated path at lambda > 0
+        self.mcl = self.switches.use_contrast and cfg.lam > 0.0
         self.queue_patch = MemoryQueue(cfg.queue_length)
         self.queue_region = MemoryQueue(cfg.queue_length)
         self.memo = {} if memo is None else memo
@@ -396,43 +407,41 @@ class Pipeline:
 
     def _constants(self, rec: PatientRecord) -> tuple:
         """What the model reads that no parameter reaches, built once per
-        patient and cached with its bags. Constant head rows are cached as
-        their row sum: without the gate the head's tokens are the column mean
-        of the fused stack, one row (in A the whole patch bag, for the
-        attention pooling); with it the head's prefix is the row sum and count
-        of the selected patch rows. Then the patch evidence pooled into
-        regions (gate on), the patch prototype (contrast on, lambda > 0, built
-        from the same row sum), the region bag (gate on) or its selected rows,
-        and (level, kept indices) per raw-bag selection, for the selection
-        log."""
+        patient and cached with its bags, in one of three shapes. A: the
+        patch bag, for the attention pooling. B-E: the column mean of the
+        head's token stack (the selected patch rows, then in E the selected
+        region rows), one row, since the whole stack is constant. F and G: the
+        head's prefix, the in-order row sum and count of the selected patch
+        rows; the patch evidence pooled into regions and the region bag, the
+        gate's inputs; and, while MCL runs, the patch prototype, built from the
+        same row sum. Last, (level, kept indices) per raw-bag selection, for
+        the selection log."""
         cached = self._cache.get(rec.patient_id)
         if cached is None:
             sw = self.switches
             tokens, chosen = rec.patch_bag.tokens, ()
             prefix = pooled = prototype = region = None
-            if sw.use_selection:
+            if not sw.use_selection:
+                tokens = ad.constant(tokens)
+            else:
                 idx = self._select(rec, PATCH)
                 tokens, chosen = tokens[idx], ((PATCH, idx),)
-                patch_sum = row_sum(tokens)
-                if sw.use_contrast and self.cfg.lam > 0.0:
-                    prototype = make_prototype(ad.constant(patch_sum), rec.patient_id)
-            if sw.use_regions:
-                region = rec.region_bag.tokens
-                if not sw.use_gate:
-                    region_idx = self._select(rec, REGION)
-                    chosen += ((REGION, region_idx),)
-                    region = region[region_idx]
-                region = ad.constant(region)
             if sw.use_gate:
+                patch_sum = row_sum(tokens)
+                if self.mcl:
+                    prototype = make_prototype(ad.constant(patch_sum), rec.patient_id)
                 pooled = ad.constant(pool_to_regions(
                     tokens, idx, rec.patch_bag.parent_region, rec.region_bag.size))
+                region = ad.constant(rec.region_bag.tokens)
                 tokens, prefix = None, (patch_sum, idx.size)
             elif sw.use_selection:
-                stack = fuse(tokens, None if region is None else region.value)
-                # the column means, bit for bit as the head takes them
-                tokens = ad.constant(np.add.reduce(stack, axis=0, keepdims=True) / len(stack))
-            else:
-                tokens = ad.constant(tokens)
+                region_rows = None
+                if sw.use_regions:
+                    region_idx = self._select(rec, REGION)
+                    chosen += ((REGION, region_idx),)
+                    region_rows = rec.region_bag.tokens[region_idx]
+                stack = fuse(tokens, region_rows)
+                tokens = ad.constant(row_sum(stack) / len(stack))
             cached = self._cache[rec.patient_id] = (
                 rec.patch_bag, rec.region_bag, tokens, prefix, pooled, prototype, region,
                 chosen)
@@ -491,7 +500,7 @@ class Pipeline:
             if update_queues:
                 self.queue_patch.push(proto_p)
                 self.queue_region.push(proto_r)
-        return total_loss(l_sur, l_con, self.loss_cfg)
+        return total_loss(l_sur, l_con, self.cfg.lam)
 
     def predict(self, rec: PatientRecord) -> tuple[float, list]:
         """Scalar risk for one patient and its selection log entries

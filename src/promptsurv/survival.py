@@ -20,17 +20,6 @@ LOG_CLAMP = 1e-12
 
 
 @dataclass
-class LossConfig:
-    """Weight of the contrastive term in the total loss."""
-
-    lam: float = 0.01
-
-    def __post_init__(self):
-        if not (self.lam >= 0.0 and np.isfinite(self.lam)):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-
-
-@dataclass
 class HeadParams:
     """Linear prediction layer: d -> T logits plus bias."""
 
@@ -87,9 +76,9 @@ def risk_score(s_values: np.ndarray) -> float:
     return float(-np.sum(s_values))
 
 
-def total_loss(l_sur: ad.Node, l_con: ad.Node | None, cfg: LossConfig) -> ad.Node:
-    """l_sur + lambda * l_con; the contrastive term drops out entirely at
-    lambda = 0 or when absent."""
-    if l_con is None or cfg.lam == 0.0:
+def total_loss(l_sur: ad.Node, l_con: ad.Node | None, lam: float) -> ad.Node:
+    """l_sur + lam * l_con; the contrastive term drops out entirely at
+    lam = 0 or when absent."""
+    if l_con is None or lam == 0.0:
         return l_sur
-    return ad.add(l_sur, ad.scale(l_con, cfg.lam))
+    return ad.add(l_sur, ad.scale(l_con, lam))

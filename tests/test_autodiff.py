@@ -719,6 +719,26 @@ class TestFusedModuleOps:
         expected = ad.sigmoid(ad.linear(ad.constant(in_order / 1303), weight, bias))
         assert np.array_equal(out.value, expected.value)
 
+    def test_one_channel_from_eight_rows_is_the_in_order_sum(self):
+        # np.add.reduce adds one column pairwise from 8 rows on; the head adds
+        # its rows in order, with or without a prefix. The weight gradient,
+        # the column means times the logit gradient, shows the last bit
+        rng = np.random.default_rng(974)
+        weights, bias = rng.normal(size=(1, 2)), ad.constant(rng.normal(size=(1, 2)))
+        bag, x = rng.normal(size=(40, 1)), rng.normal(size=(10, 1))
+        for rows, prefix in ((x, None), (np.vstack([bag, x]), (row_sum(bag), 40))):
+            means = np.add.accumulate(rows, axis=0)[-1:] / len(rows)
+            stacked = rows if prefix is None else np.vstack([prefix[0], x])
+            assert not np.array_equal(means * len(rows),
+                                      np.add.reduce(stacked, axis=0, keepdims=True))
+            weight = ad.parameter(weights)
+            out = ad.mean_logistic(ad.constant(x), weight, bias, prefix)
+            out.backward()
+            expected = ad.sigmoid(ad.linear(ad.constant(means), ad.constant(weights), bias))
+            assert np.array_equal(out.value, expected.value)
+            value = expected.value
+            assert np.array_equal(weight.grad, means.T @ (value * (1.0 - value)))
+
     @pytest.mark.parametrize("op", [ad.mean_logistic, ad.mean_logistic_chain])
     def test_prefix_of_another_width_rejected(self, op):
         weight, bias = ad.parameter(np.ones((3, 2))), ad.parameter(np.ones((1, 2)))

@@ -215,6 +215,19 @@ class TestTrainAndCv:
         assert run(["cv", "--manifest", cohort_dir / "manifest.json",
                     "--out", tmp_path / "o", "--switch", "use_contrast=perhaps"]) == 2
 
+    @pytest.mark.parametrize("variant, switch, rule", [
+        ("B", "use_transport=true", "use_transport needs multi_prompt"),
+        ("E", "use_contrast=true", "use_contrast needs use_gate"),
+        ("G", "use_gate=false", "use_contrast needs use_gate"),
+    ])
+    def test_switches_that_repeat_another_model_exit_code(self, cohort_dir, tmp_path,
+                                                          capsys, variant, switch, rule):
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json",
+                    "--out", tmp_path / "o", "--folds", 3, "--epochs", 1, "--n-bins", 3,
+                    "--variant", variant, "--switch", switch]) == 2
+        assert rule in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_list_exit_code(self, cohort_dir, tmp_path, capsys):
         manifest = cohort_dir / "manifest.json"
         manifest.write_text(json.dumps(json.loads(manifest.read_text())["patients"]))

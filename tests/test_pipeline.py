@@ -1,5 +1,6 @@
 import csv
 import gc
+import itertools
 import json
 import weakref
 from collections import Counter
@@ -58,6 +59,29 @@ class TestSwitches:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             VariantSwitches.from_variant("Z")
+
+    def test_only_distinct_models_validate(self):
+        # a switch on whose prerequisite is off trains another combination's
+        # parameters: contrast without the gate, transport without multi_prompt
+        rules = [("use_contrast", "use_gate"), ("use_gate", "use_regions"),
+                 ("use_regions", "use_selection"), ("use_transport", "multi_prompt"),
+                 ("multi_prompt", "use_selection")]
+        names = list(VariantSwitches().as_dict())
+        accepted = []
+        for values in itertools.product([False, True], repeat=len(names)):
+            switches = VariantSwitches(**dict(zip(names, values)))
+            broken = [f"{switch} needs {needed}" for switch, needed in rules
+                      if getattr(switches, switch) and not getattr(switches, needed)]
+            if not broken:
+                switches.validate()
+                accepted.append(switches)
+                continue
+            with pytest.raises(ConfigError) as err:
+                switches.validate()
+            assert any(rule in str(err.value) for rule in broken), (values, err.value)
+        assert len(accepted) == 13
+        ladder = [VariantSwitches.from_variant(v) for v in "ABCDEFG"]
+        assert all(rung in accepted for rung in ladder)
 
 
 class TestConfig:
@@ -358,6 +382,57 @@ class TestTraining:
         for _ in range(2):
             evaluate_fold(model, records[6:10], trace, fold=0)
         assert calls[variant] == 10
+
+    def test_ungated_patient_constants_are_one_sum_and_one_node(self, small_cohort,
+                                                                 monkeypatch):
+        # B-E cache one mean row per patient: one in-order sum, over the
+        # whole head stack (in E the patch and region rows), and one node
+        records, prompts, _ = small_cohort
+        sums, nodes = [], []
+        row_sum, constant = pipeline.row_sum, ad.constant
+
+        def counted_sum(rows):
+            sums.append(rows.shape[0])
+            return row_sum(rows)
+
+        def counted_constant(data):
+            nodes.append(np.shape(data))
+            return constant(data)
+
+        monkeypatch.setattr(pipeline, "row_sum", counted_sum)
+        monkeypatch.setattr(ad, "constant", counted_constant)
+        for variant in "BCDE":
+            sums.clear()
+            nodes.clear()
+            model, _ = train_fold(records[:6], prompts, fast_cfg(epochs=2, variant=variant))
+            assert model.adam.step_count == 12
+            stacks = [sum(idx.size for _, idx in model._cache[rec.patient_id][-1])
+                      for rec in records[:6]]
+            assert sorted(sums) == sorted(stacks), variant
+            assert nodes == [(1, 16)] * 6, variant
+
+    def test_ungated_mean_row_of_one_channel_is_the_in_order_sum(self):
+        # np.add.reduce adds one column pairwise from 8 rows on
+        records, prompts, _ = build_cohort(n_patients=12, patches_per_region=8)
+        records = [replace(rec, patch_bag=replace(rec.patch_bag,
+                                                  tokens=rec.patch_bag.tokens[:, :1]),
+                           region_bag=replace(rec.region_bag,
+                                              tokens=rec.region_bag.tokens[:, :1]))
+                   for rec in records]
+        prompts = {level: replace(p, prompts=p.prompts[:, :1]) for level, p in prompts.items()}
+        differs = 0
+        for variant in "BCDE":
+            model, _ = train_fold(records[:6], prompts, fast_cfg(epochs=1, variant=variant))
+            for rec in records[:6]:
+                entry = model._cache[rec.patient_id]
+                stack = np.vstack([(rec.patch_bag if level == PATCH else rec.region_bag)
+                                   .tokens[idx] for level, idx in entry[-1]])
+                assert len(stack) >= 8
+                in_order = np.add.accumulate(stack, axis=0)[-1:] / len(stack)
+                assert np.array_equal(entry[2].value, in_order), (variant, rec.patient_id)
+                differs += not np.array_equal(
+                    in_order, np.add.reduce(stack, axis=0, keepdims=True) / len(stack))
+        assert differs
 
     @pytest.mark.parametrize("variant", "FG")
     def test_gated_fold_caches_no_copy_of_the_selected_patch_rows(self, small_cohort,

@@ -7,7 +7,6 @@ import ad_chain as ad
 from promptsurv.errors import ConfigError, ShapeError
 from promptsurv.survival import (
     HeadParams,
-    LossConfig,
     fuse,
     hazards,
     nll_loss,
@@ -168,17 +167,9 @@ class TestTotalLoss:
     def test_lambda_zero_returns_survival_loss_node(self):
         l_sur = ad.constant([[1.5]])
         l_con = ad.constant([[7.0]])
-        out = total_loss(l_sur, l_con, LossConfig(lam=0.0))
+        out = total_loss(l_sur, l_con, 0.0)
         assert out is l_sur
 
     def test_weighted_sum(self):
-        out = total_loss(ad.constant([[1.0]]), ad.constant([[2.0]]),
-                         LossConfig(lam=0.01))
+        out = total_loss(ad.constant([[1.0]]), ad.constant([[2.0]]), 0.01)
         assert out.value[0, 0] == pytest.approx(1.02, abs=1e-15)
-
-    def test_default_lambda(self):
-        assert LossConfig().lam == 0.01
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ConfigError):
-            LossConfig(lam=-0.1)
