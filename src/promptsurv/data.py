@@ -32,9 +32,11 @@ PATCH = "patch"
 REGION = "region"
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureBag:
-    """Per-patient matrix of visual tokens at one hierarchy level."""
+    """Per-patient matrix of visual tokens at one hierarchy level.
+
+    Compares by identity, so a bag can key the caches built from it."""
 
     level: str
     tokens: np.ndarray                      # M x d
@@ -63,9 +65,10 @@ class FeatureBag:
         return self.tokens.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class PromptSet:
-    """Encoded language prompts for one hierarchy level."""
+    """Encoded language prompts for one hierarchy level; compares by
+    identity, like FeatureBag."""
 
     level: str
     prompts: np.ndarray  # N x d
@@ -501,8 +504,8 @@ def write_cohort(records, prompts, out_dir) -> Path:
 def require_unique_ids(ids, source):
     """Raise DataValidationError naming the first patient id seen twice.
 
-    Per-patient caches are keyed by id, so a repeated id would hand one
-    patient's selections to another."""
+    Ids name the rows of the artifacts, and the contrastive queues tell a
+    patient's own past prototype from its negatives by id."""
     seen = set()
     for pid in ids:
         if pid in seen:

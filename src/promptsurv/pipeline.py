@@ -29,12 +29,13 @@ gated path and the head. The same rule counts solver health: a raw-bag
 selection counts once per patient per fold, a gated selection at every use.
 
 The one thing folds may share is a read-mostly selection memo. Given one,
-`cross_validate` solves each raw bag once per patient and hands the indices
-to every fold, and `run_ablation` hands one memo to every rung, keyed by the
-scoring settings so a cosine rung never reads a transport selection.
-Selections are deterministic, so a memo hit returns exactly what a fresh
-solve would. The gated region selection reads the gate's output and is
-solved on every step.
+`cross_validate` solves each raw bag once and hands the indices to every
+fold, and `run_ablation` hands one memo to every rung. An entry is keyed by
+what its selection was made from: the bag and prompt set objects and the
+scoring settings. So a cosine rung never reads a transport selection, and
+no patient reads another's, whatever the ids. Selections are deterministic,
+so a memo hit returns exactly what a fresh solve would. The gated region
+selection reads the gate's output and is solved on every step.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ from .alignment import (
 from .contrast import MemoryQueue, make_prototype, mutual_contrastive_loss
 from .data import (PATCH, REGION, FeatureBag, PatientRecord, PromptSet, read_settings,
                    require_unique_ids, write_json)
-from .errors import (ConfigError, DataValidationError, DegenerateInputError, MetricError,
-                     TrainingError)
+from .errors import ConfigError, DegenerateInputError, MetricError, TrainingError
 from .fusion import GateParams, gate_fuse, pool_to_regions, row_sum
 from .metrics import (
     KM_COLUMNS,
@@ -303,8 +303,8 @@ class Selection(NamedTuple):
     residual: float = 0.0
 
 
-# (patient_id, level, Pipeline.scoring) -> (bag, prompt set, the Selection made from them)
-SelectionMemo = dict[tuple, tuple[FeatureBag, PromptSet, Selection]]
+# (raw bag, prompt set, Pipeline.scoring) -> the Selection made from them
+SelectionMemo = dict[tuple[FeatureBag, PromptSet, tuple], Selection]
 
 
 @dataclass
@@ -327,15 +327,13 @@ class Pipeline:
     """Holds one fold's parameters, queues, and per-patient constants.
 
     A patient's constants (see `_constants`) are built on first use in this
-    fold; a later use under the same id with other bags is an error. They
-    are the constant inputs of the model, in the shape its variant reads, and
-    selected indices are kept for the selection log. `memo`
-    maps (patient_id, level, scoring) to the raw bag and prompt set and the
-    selection alignment makes from them. No parameter reaches those
-    selections, so one memo may serve every fold and every variant run on the
-    same cohort and prompt sets; a hit with another bag or prompt set object
-    under the same id is an error. Only the indices are shared; everything
-    built from them stays in this fold's cache.
+    fold, keyed by the patient's id and bags. They are the constant inputs
+    of the model, in the shape its variant reads, and selected indices are
+    kept for the selection log. `memo` maps (raw bag, prompt set, scoring)
+    to the selection alignment makes from them. No parameter reaches those
+    selections, so one memo may serve every fold, variant and cohort. Only
+    the indices are shared; everything built from them stays in this fold's
+    cache.
     """
 
     def __init__(self, prompts: dict[str, PromptSet], d: int, cfg: TrainConfig,
@@ -362,7 +360,7 @@ class Pipeline:
         self.queue_patch = MemoryQueue(cfg.queue_length)
         self.queue_region = MemoryQueue(cfg.queue_length)
         self.memo = {} if memo is None else memo
-        self._cache: dict[str, tuple] = {}
+        self._cache: dict[tuple[str, FeatureBag, FeatureBag], tuple] = {}
         # level -> (selections used from non-converged solves, worst residual)
         self.unconverged: dict[str, tuple[int, float]] = {}
 
@@ -390,24 +388,17 @@ class Pipeline:
         return chosen.indices
 
     def _select(self, rec: PatientRecord, level: str) -> np.ndarray:
-        """Selection on the patient's raw bag at `level`, solved once per memo.
-        A memo entry holds the bag and the prompt set it was solved from; a hit
-        under the same id with others is an error."""
-        key = (rec.patient_id, level, self.scoring)
+        """Selection on the patient's raw bag at `level`, solved once per memo."""
         bag = rec.patch_bag if level == PATCH else rec.region_bag
-        prompt_set = self.prompts[level]
-        entry = self.memo.get(key)
-        if entry is None:
-            entry = self.memo[key] = (bag, prompt_set, self._choose(bag.tokens, level))
-        elif entry[0] is not bag or entry[1] is not prompt_set:
-            raise DataValidationError(
-                f"patient {rec.patient_id} comes with another {level} bag or prompt set "
-                f"than the patient of that id whose selection the memo holds")
-        return self._use(entry[2], level)
+        key = (bag, self.prompts[level], self.scoring)
+        chosen = self.memo.get(key)
+        if chosen is None:
+            chosen = self.memo[key] = self._choose(bag.tokens, level)
+        return self._use(chosen, level)
 
     def _constants(self, rec: PatientRecord) -> tuple:
         """What the model reads that no parameter reaches, built once per
-        patient and cached with its bags, in one of three shapes. A: the
+        patient id and pair of bags, in one of three shapes. A: the
         patch bag, for the attention pooling. B-E: the column mean of the
         head's token stack (the selected patch rows, then in E the selected
         region rows), one row, since the whole stack is constant. F and G: the
@@ -416,7 +407,10 @@ class Pipeline:
         gate's inputs; and, while MCL runs, the patch prototype, built from the
         same row sum. Last, (level, kept indices) per raw-bag selection, for
         the selection log."""
-        cached = self._cache.get(rec.patient_id)
+        # the id is keyed too, since the cached patch prototype carries it into
+        # the contrastive queues
+        key = (rec.patient_id, rec.patch_bag, rec.region_bag)
+        cached = self._cache.get(key)
         if cached is None:
             sw = self.switches
             tokens, chosen = rec.patch_bag.tokens, ()
@@ -442,14 +436,8 @@ class Pipeline:
                     region_rows = rec.region_bag.tokens[region_idx]
                 stack = fuse(tokens, region_rows)
                 tokens = ad.constant(row_sum(stack) / len(stack))
-            cached = self._cache[rec.patient_id] = (
-                rec.patch_bag, rec.region_bag, tokens, prefix, pooled, prototype, region,
-                chosen)
-        elif cached[0] is not rec.patch_bag or cached[1] is not rec.region_bag:
-            raise DataValidationError(
-                f"patient {rec.patient_id} comes with other bags than the patient "
-                f"of that id already used in fold {self.fold}")
-        return cached[2:]
+            cached = self._cache[key] = (tokens, prefix, pooled, prototype, region, chosen)
+        return cached
 
     def nonconvergence_flag(self) -> str | None:
         """One line naming, per level, how many selections this fold used
@@ -645,7 +633,9 @@ def cross_validate(records: list[PatientRecord], prompts: dict[str, PromptSet],
     Given a `memo` (an empty dict will do), all folds share it, so each
     patient's raw-bag selections are solved once, not once per fold; the
     CLI and `run_ablation` pass one. Without it each fold solves its own,
-    as a standalone `train_fold` does. Either way the results are identical.
+    as a standalone `train_fold` does. Either way the results are identical,
+    and a memo filled on another cohort only serves the bags it was filled
+    from.
     """
     folds = split_folds(records, k, cfg.seed)
     reports = []

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from promptsurv.data import (
     REGION,
     FeatureBag,
     PatientRecord,
+    PromptSet,
     SynthSpec,
     discretize_times,
     generate_synthetic,
@@ -460,6 +462,16 @@ class TestValidation:
     def test_bag_parent_length_must_match(self):
         with pytest.raises(DataValidationError, match="parent"):
             FeatureBag(PATCH, np.ones((3, 2)), [0, 1])
+
+    def test_bags_and_prompt_sets_compare_by_identity(self):
+        # a field-wise comparison would ask numpy for the truth of an array
+        rec = make_record("p", 0, 1.0)
+        bag = rec.patch_bag
+        copied = replace(rec, patch_bag=FeatureBag(PATCH, bag.tokens.copy(),
+                                                   bag.parent_region.copy()))
+        assert (rec == copied) is False
+        prompts = PromptSet(PATCH, np.eye(2))
+        assert len({bag, copied.patch_bag, prompts, PromptSet(PATCH, np.eye(2))}) == 4
 
     def test_synth_spec_field_ranges(self):
         with pytest.raises(ConfigError):
