@@ -66,9 +66,7 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="JSON file with TrainConfig fields")
     for name, kind in field_kinds(TrainConfig).items():
         flag = f"--{name.replace('_', '-')}"
-        if kind == "bool":
-            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
-        elif kind != "dict":
+        if kind != "dict":
             parser.add_argument(flag, type=JSON_TYPES[kind][0], default=None)
     parser.add_argument("--switch", action="append", default=[],
                         metavar="NAME=BOOL",

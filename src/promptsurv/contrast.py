@@ -45,7 +45,8 @@ class MemoryQueue:
 
     Pushing beyond capacity evicts strictly oldest-first. The vectors sit in
     one (capacity x d) array, oldest first, sized by the first push into an
-    empty queue; no gradient ever reaches queue contents.
+    empty queue; no gradient ever reaches queue contents. Nothing clears a
+    queue: it persists across epochs, as MoCo's do (He et al., CVPR 2020).
     """
 
     def __init__(self, queue_length: int):
@@ -85,9 +86,6 @@ class MemoryQueue:
         if not keep:
             return np.zeros((0, 0))
         return self._vectors[keep]
-
-    def clear(self):
-        self._ids.clear()
 
 
 def contrastive_loss(anchor: ad.Node, positive: ad.Node,

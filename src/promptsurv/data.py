@@ -182,9 +182,8 @@ class SynthTruth:
 # an int may stand for a float. The first type of a kind parses its
 # command-line flag.
 JSON_TYPES = {
-    "int": (int,), "float": (float, int), "str": (str,), "bool": (bool,),
-    "dict": (dict,), "list": (list,), "int | None": (int, type(None)),
-    "str | None": (str, type(None)),
+    "int": (int,), "float": (float, int), "str": (str,), "dict": (dict,),
+    "list": (list,), "int | None": (int, type(None)), "str | None": (str, type(None)),
 }
 
 
@@ -237,9 +236,8 @@ def check_json_fields(raw, kinds: dict[str, str], what: str, where, error,
             continue
         kind = kinds[name]
         allowed = JSON_TYPES[kind]
-        # bool is an int subclass in Python, so it is rejected explicitly
-        if not isinstance(value, allowed) or (
-                isinstance(value, bool) and bool not in allowed):
+        # bool is an int subclass in Python, and no kind takes it
+        if not isinstance(value, allowed) or isinstance(value, bool):
             raise error(f"{what} field {name} in {where} must be {kind}, got {value!r}")
         try:
             checked[name] = float(value) if kind == "float" else value

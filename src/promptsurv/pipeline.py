@@ -153,11 +153,15 @@ class VariantSwitches:
 
 @dataclass
 class TrainConfig:
-    """Run configuration; defaults are the cited training settings."""
+    """Run configuration; defaults are the cited training settings.
+
+    Two cited settings are fixed rather than fields: the batch size is 1 (one
+    patient per Adam step; `as_dict` records it), and MCL's queues persist
+    across epochs.
+    """
 
     epochs: int = 20
     lr: float = 2e-4
-    batch_size: int = 1
     r: float = 0.6
     queue_length: int = 20
     lam: float = 0.01
@@ -169,12 +173,9 @@ class TrainConfig:
     variant: str = "G"
     attention_dim: int | None = None
     temperature: float = 1.0
-    reset_queues_per_epoch: bool = False
     switch_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.batch_size != 1:
-            raise ConfigError(f"batch_size is fixed at 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.r <= 1.0:
@@ -214,7 +215,7 @@ class TrainConfig:
         return {
             "epochs": self.epochs,
             "lr": self.lr,
-            "batch_size": self.batch_size,
+            "batch_size": 1,
             "r": self.r,
             "queue_length": self.queue_length,
             "lambda": self.lam,
@@ -228,7 +229,6 @@ class TrainConfig:
             "variant": self.variant,
             "attention_dim": self.attention_dim,
             "temperature": self.temperature,
-            "reset_queues_per_epoch": self.reset_queues_per_epoch,
             "switches": self.switches().as_dict(),
         }
 
@@ -504,9 +504,6 @@ class Pipeline:
         shuffle_rng = _stream(self.cfg.seed, self.fold, "shuffle")
         trace = []
         for epoch in range(self.cfg.epochs):
-            if self.cfg.reset_queues_per_epoch:
-                self.queue_patch.clear()
-                self.queue_region.clear()
             order = shuffle_rng.permutation(len(records))
             epoch_loss = 0.0
             for pos in order:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import promptsurv
 from promptsurv.data import SynthSpec, discretize_times, generate_synthetic
 
 
@@ -30,3 +36,18 @@ def params_bytes(model) -> bytes:
 
 def read_all_bytes(paths) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in paths}
+
+
+def run_without_scipy(script: str, cwd) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter where any scipy import fails.
+
+    The script runs after `sys.modules["scipy"] = None`, with this checkout's
+    `promptsurv` on the path; it ends by exiting 1 if any scipy module loaded.
+    """
+    src = str(Path(promptsurv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    guarded = ('import sys\nsys.modules["scipy"] = None\n' + script +
+               '\nsys.exit(any(name.split(".")[0] == "scipy" and module is not None'
+               '\n             for name, module in list(sys.modules.items())))\n')
+    return subprocess.run([sys.executable, "-c", guarded], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)

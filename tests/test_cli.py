@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conftest import build_cohort
+from conftest import build_cohort, run_without_scipy
 from promptsurv.cli import build_parser, main
 from promptsurv.data import write_cohort
 from promptsurv.pipeline import TrainConfig
@@ -99,14 +99,24 @@ class TestTrainAndCv:
         assert meta["config"]["lambda"] == 0.25  # flag wins
         assert meta["config"]["epochs"] == 1     # file value kept
 
-    def test_boolean_flag_reset_queues(self, cohort_dir, tmp_path):
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 1), ("batch_size", 2),
+        ("reset_queues_per_epoch", False), ("reset_queues_per_epoch", True),
+    ])
+    def test_fixed_setting_in_config_file_exit_code(self, cohort_dir, tmp_path,
+                                                    capsys, name, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, name: value}))
         out = tmp_path / "out"
-        code = run(["cv", "--manifest", cohort_dir / "manifest.json",
-                    "--out", out, "--folds", 3, "--epochs", 1, "--n-bins", 3,
-                    "--reset-queues-per-epoch"])
-        assert code == 0
-        meta = json.loads((out / "metadata.json").read_text())
-        assert meta["config"]["reset_queues_per_epoch"] is True
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json", "--out", out,
+                    "--config", cfg_path]) == 2
+        assert f"unknown config fields in {cfg_path}: ['{name}']" in capsys.readouterr().err
+        assert not out.exists()
+        flag = f"--{name.replace('_', '-')}"
+        with pytest.raises(SystemExit) as exc:
+            run(["cv", "--manifest", cohort_dir / "manifest.json", "--out", out, flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_switch_override_flag(self, cohort_dir, tmp_path):
         out = tmp_path / "out"
@@ -340,36 +350,43 @@ class TestConfigFlags:
                    if action.dest in self.FIELDS]
         assert sorted(action.dest for action in actions) == sorted(self.FIELDS)
         assert {opt for action in actions for opt in action.option_strings} == \
-            {f"--{name.replace('_', '-')}" for name in self.FIELDS} | \
-            {"--no-reset-queues-per-epoch"}
+            {f"--{name.replace('_', '-')}" for name in self.FIELDS}
+        assert all(len(action.option_strings) == 1 for action in actions)
         assert not any(action.dest == "switch_overrides"
                        for action in self.subparser(command)._actions)
 
     def test_each_flag_parses_to_its_field_type(self):
-        values = {"epochs": "3", "lr": "1e-3", "batch_size": "1", "r": "0.5",
-                  "queue_length": "5", "lam": "0.5", "n_bins": "3", "epsilon": "0.2",
+        values = {"epochs": "3", "lr": "1e-3", "r": "0.5", "queue_length": "5",
+                  "lam": "0.5", "n_bins": "3", "epsilon": "0.2",
                   "sinkhorn_tol": "1e-7", "sinkhorn_max_iters": "50", "seed": "4",
                   "variant": "F", "attention_dim": "6", "temperature": "0.5"}
-        argv = ["cv", "--manifest", "m.json", "--out", "o", "--reset-queues-per-epoch"]
+        argv = ["cv", "--manifest", "m.json", "--out", "o"]
         for name, value in values.items():
             argv += [f"--{name.replace('_', '-')}", value]
         args = build_parser().parse_args(argv)
-        assert set(values) | {"reset_queues_per_epoch"} == set(self.FIELDS)
+        assert set(values) == set(self.FIELDS)
         for f in dataclasses.fields(TrainConfig):
             if f.name in values:
                 expected = {"int": int, "int | None": int, "float": float,
                             "str": str}[f.type](values[f.name])
                 assert getattr(args, f.name) == expected
                 assert type(getattr(args, f.name)) is type(expected)
-        assert args.reset_queues_per_epoch is True
 
-    def test_no_flag_overrides_true_from_config_file(self, cohort_dir, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"epochs": 1, "n_bins": 3,
-                                        "reset_queues_per_epoch": True}))
-        for flag, expected in (([], True), (["--no-reset-queues-per-epoch"], False)):
-            out = tmp_path / f"out{expected}"
-            assert run(["cv", "--manifest", cohort_dir / "manifest.json", "--out", out,
-                        "--folds", 3, "--config", cfg_path] + flag) == 0
-            meta = json.loads((out / "metadata.json").read_text())
-            assert meta["config"]["reset_queues_per_epoch"] is expected
+
+class TestNumpyOnly:
+    def test_synth_cv_and_km_export_run_without_scipy(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "n_patients": 20, "n_regions": 3, "patches_per_region": 4, "d": 8,
+            "n_prompts_patch": 3, "n_prompts_region": 3, "seed": 5,
+        }))
+        script = (
+            "from promptsurv.cli import main\n"
+            "codes = [main(['synth', '--spec', 'spec.json', '--out', 'cohort']),\n"
+            "         main(['cv', '--manifest', 'cohort/manifest.json', '--out', 'cv',\n"
+            "               '--folds', '3', '--epochs', '1', '--n-bins', '3']),\n"
+            "         main(['km-export', '--risks', 'cv/risks.csv', '--out', 'km'])]\n"
+            "print(codes)\n")
+        done = run_without_scipy(script, tmp_path)
+        assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["[0, 0, 0]"]), \
+            done.stderr
+        assert (tmp_path / "km" / "logrank.json").is_file()

@@ -1,6 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from conftest import run_without_scipy
 from promptsurv.errors import DegenerateInputError, MetricError
 from promptsurv.metrics import (
     RiskedPatient,
@@ -10,6 +15,24 @@ from promptsurv.metrics import (
     logrank_test,
     stratify_median,
 )
+
+
+# chi_square_p_value on 0, 81 points in [1e-8, 1], 2000 in (0, 1000] and inf,
+# then on NaN and on a negative value; floats travel as hex, so bit for bit
+P_VALUE_GRID_SCRIPT = """
+import json, math
+import numpy as np
+from promptsurv.errors import MetricError
+from promptsurv.metrics import chi_square_p_value as p
+grid = [0.0, *np.geomspace(1e-8, 1.0, 81), *np.linspace(0.0, 1000.0, 2001)[1:], math.inf]
+try:
+    negative = f"returned {p(-1e-300)}"
+except MetricError as exc:
+    negative = str(exc)
+print(json.dumps({"x": [float(x).hex() for x in grid],
+                  "p": [p(x).hex() for x in grid],
+                  "nan": repr(p(math.nan)), "negative": negative}))
+"""
 
 
 def patients_from(risks, times, censors):
@@ -158,6 +181,19 @@ class TestLogrank:
 
     def test_critical_value_maps_to_p05(self):
         assert chi_square_p_value(3.841) == pytest.approx(0.05, abs=1e-3)
+
+    def test_p_value_without_scipy_matches_chi2_sf(self, tmp_path):
+        # computed where scipy cannot be imported, checked against scipy here
+        done = run_without_scipy(P_VALUE_GRID_SCRIPT, tmp_path)
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout)
+        grid = np.array([float.fromhex(x) for x in out["x"]])
+        got = np.array([float.fromhex(p) for p in out["p"]])
+        assert grid[0] == 0.0 and grid[-2] == 1000.0 and grid[-1] == math.inf
+        assert got[0] == 1.0 and got[-1] == 0.0
+        np.testing.assert_allclose(got, chi2.sf(grid, 1), rtol=1e-12, atol=0.0)
+        assert out["nan"] == "nan"
+        assert "chi-square statistic must be >= 0" in out["negative"]
 
     def test_disjoint_time_ranges_match_hand_table(self):
         # A dies at 1,2; B dies at 3,4. Hand O-E/variance:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import itertools
 import json
@@ -94,7 +95,6 @@ class TestConfig:
         cfg = TrainConfig()
         assert cfg.epochs == 20
         assert cfg.lr == 2e-4
-        assert cfg.batch_size == 1
         assert cfg.r == 0.6
         assert cfg.queue_length == 20
         assert cfg.lam == 0.01
@@ -103,10 +103,27 @@ class TestConfig:
         assert cfg.sinkhorn_tol == 1e-6
         assert cfg.sinkhorn_max_iters == 1000
         assert cfg.variant == "G"
+        # batch size 1 and queues that persist across epochs are fixed, not
+        # fields; the run record still states the batch size
+        assert not {"batch_size", "reset_queues_per_epoch"} & set(
+            f.name for f in dataclasses.fields(TrainConfig))
+        assert cfg.as_dict()["batch_size"] == 1
+        assert "reset_queues_per_epoch" not in cfg.as_dict()
 
-    def test_batch_size_enforced(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(batch_size=2)
+    @staticmethod
+    def assert_config_file_rejects(tmp_path, name, values):
+        path = tmp_path / "cfg.json"
+        for value in values:
+            path.write_text(json.dumps({"epochs": 3, name: value}))
+            with pytest.raises(ConfigError, match=f"unknown config fields .*'{name}'"):
+                TrainConfig.from_file(path)
+
+    def test_batch_size_enforced(self, tmp_path):
+        # fixed at 1: a config file may not set it, not even to 1
+        self.assert_config_file_rejects(tmp_path, "batch_size", [1, 2])
+
+    def test_queue_reset_is_not_a_config_field(self, tmp_path):
+        self.assert_config_file_rejects(tmp_path, "reset_queues_per_epoch", [False, True])
 
     @pytest.mark.parametrize("field", ["lr", "temperature"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
@@ -242,20 +259,13 @@ class TestTraining:
         with pytest.raises(ConfigError, match="time_bin"):
             train_fold(broken, prompts, fast_cfg())
 
-    def test_queues_persist_across_epochs_by_default(self, small_cohort):
+    def test_queues_persist_across_epochs(self, small_cohort):
         records, prompts, _ = small_cohort
         model, _ = train_fold(records[:6], prompts,
                               fast_cfg(epochs=2, queue_length=20))
         # 12 pushes against capacity 19: nothing evicted, nothing reset
         assert len(model.queue_patch) == 12
         assert len(model.queue_region) == 12
-
-    def test_queue_reset_per_epoch_is_configurable(self, small_cohort):
-        records, prompts, _ = small_cohort
-        model, _ = train_fold(records[:6], prompts,
-                              fast_cfg(epochs=2, queue_length=20,
-                                       reset_queues_per_epoch=True))
-        assert len(model.queue_patch) == 6  # only the last epoch's pushes
 
     def test_contrastive_temperature_changes_loss(self, small_cohort):
         records, prompts, _ = small_cohort
