@@ -20,6 +20,7 @@ import json
 import math
 import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -262,21 +263,60 @@ def write_matrix(path, arr: np.ndarray):
 # a matrix header: two numbers, each as the parent-map grammar below takes one
 # (an optional sign, then ASCII digits), between ASCII whitespace
 _HEADER = re.compile(rb"\s*([+-]?[0-9]+)\s+([+-]?[0-9]+)\s*")
+# bytes per read while looking for the end of a matrix header
+_HEADER_CHUNK = 64
+
+
+def _open(path, missing: str) -> tuple[int, int]:
+    """Open a cohort file unbuffered; returns its descriptor and size.
+
+    A missing file or a directory raises DataValidationError("<missing>: path")."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError as exc:
+        raise DataValidationError(f"{missing}: {path}") from exc
+    status = os.fstat(fd)
+    if stat.S_ISDIR(status.st_mode):
+        os.close(fd)
+        raise DataValidationError(f"{missing}: {path}")
+    return fd, status.st_size
+
+
+def _read_into(fd: int, buf: np.ndarray) -> int:
+    """Read into the contiguous array `buf` until it is full or the file ends;
+    returns the bytes read. One read fills it unless the file shrank or the
+    read stopped short (Linux reads at most 2 GiB at a time)."""
+    got = n = os.readv(fd, [buf])
+    while n and got < buf.nbytes:
+        n = os.readv(fd, [memoryview(buf).cast("B")[got:]])
+        got += n
+    return got
+
+
+def _read_header(fd: int) -> bytes:
+    """Read a matrix header, through its newline or to the end of the file,
+    and leave the file offset at the first byte after it."""
+    head = b""
+    while chunk := os.read(fd, _HEADER_CHUNK):
+        head += chunk
+        end = head.find(b"\n", len(head) - len(chunk))
+        if end >= 0:
+            os.lseek(fd, end + 1, os.SEEK_SET)
+            return head[:end + 1]
+    return head
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file straight into one preallocated float64 array.
 
-    The header holds two integers in the parent-map grammar (an optional
-    sign, then ASCII digits), neither negative nor beyond int64. The file
-    size is checked against it before anything is allocated, so a header
-    that lies about its dimensions sizes nothing."""
+    The file is opened once, unbuffered. The header holds two integers in the
+    parent-map grammar (an optional sign, then ASCII digits), neither negative
+    nor beyond int64, and may be of any length. The file size is checked
+    against it before anything is allocated, so a header that lies about its
+    dimensions sizes nothing; the payload is then read into the array."""
+    fd, size = _open(path, "missing embedding file")
     try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataValidationError(f"missing embedding file: {path}") from exc
-    with fh:
-        header = fh.readline()
+        header = _read_header(fd)
         dims = _HEADER.fullmatch(header)
         if dims is None:
             raise DataValidationError(f"bad header in {path}: {header!r}")
@@ -286,10 +326,12 @@ def read_matrix(path) -> np.ndarray:
         if max(rows, cols) >= 2**63:
             raise DataValidationError(f"bad header in {path}: dimension outside int64")
         expected = rows * cols * 8
-        got = os.fstat(fh.fileno()).st_size - len(header)
+        got = size - len(header)
         if got == expected:
             mat = np.empty((rows, cols), dtype="<f8")
-            got = fh.readinto(mat)
+            got = _read_into(fd, mat)
+    finally:
+        os.close(fd)
     if got != expected:
         raise DataValidationError(
             f"{path}: expected {expected} payload bytes for {rows}x{cols}, got {got}"
@@ -322,6 +364,9 @@ _FOLLOWS[_SEPARATOR, [_SPACE, _NEWLINE, _SEPARATOR]] = True
 _FOLLOWS[_DIGIT, [_SPACE, _NEWLINE, _DIGIT]] = True
 _FOLLOWS[_SIGN, _DIGIT] = True
 _FOLLOWS = _FOLLOWS.ravel()
+# _BOUNDS[a * _CLASSES + b]: does a number start or end between the two bytes?
+_IN_NUMBER = np.arange(_CLASSES) >= _DIGIT
+_BOUNDS = (_IN_NUMBER[:, None] != _IN_NUMBER[None, :]).ravel()
 _INT64_DIGITS = 19
 _POW10 = np.uint64(10) ** np.arange(_INT64_DIGITS, dtype=np.uint64)
 _INT64_MAX = np.uint64(2**63 - 1)
@@ -330,52 +375,61 @@ _INT64_MAX = np.uint64(2**63 - 1)
 def read_parent_map(path) -> np.ndarray:
     """Parse a parent map with whole-array operations on its bytes.
 
-    Every line that is not whitespace-only must hold one decimal integer
-    within int64."""
+    The file is opened once, unbuffered, and read into one byte array. Every
+    line that is not whitespace-only must hold one decimal integer within
+    int64."""
+    fd, size = _open(path, "missing parent map")
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataValidationError(f"missing parent map: {path}") from exc
-    # a newline on each side gives every number a blank neighbour
-    buf = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+        # a newline on each side gives every number a blank neighbour
+        buf = np.empty(size + 2, dtype=np.uint8)
+        got = _read_into(fd, buf[1:-1])
+    finally:
+        os.close(fd)
+    buf = buf[:got + 2]
+    buf[0] = buf[-1] = ord("\n")
     cls = _BYTE_CLASS.take(buf)
-    in_number = cls >= _DIGIT
-    edges = np.flatnonzero(in_number[1:] != in_number[:-1]) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    newline = cls == _NEWLINE
-    # every byte may follow its neighbour, and each gap between two numbers,
-    # [ends[k], starts[k + 1]), holds a newline
-    if not (_FOLLOWS.take(cls[:-1] * np.uint8(_CLASSES) + cls[1:]).all()
-            and np.logical_or.reduceat(newline, edges[1:-1])[0::2].all()):
+    pair = cls[:-1] * np.uint8(_CLASSES) + cls[1:]  # the classes of bytes i and i + 1
+    if not _FOLLOWS.take(pair).all():
         raise DataValidationError(f"non-integer entry in parent map {path}")
-    separator = cls == _SEPARATOR
-    if separator.any():
-        line = np.cumsum(newline)
-        if np.isin(line[separator], line[starts]).any():
+    count = np.bincount(cls, minlength=_CLASSES)
+    # each number runs from the byte after `before` through `last`
+    edges = np.flatnonzero(_BOUNDS.take(pair))
+    before, last = edges[0::2], edges[1::2]
+    # only a blank or a separator can share a line with a number: without
+    # them, the bytes between two numbers are newlines
+    if count[_SPACE] or count[_SEPARATOR]:
+        line = np.cumsum(cls == _NEWLINE)
+        numbered = line[last]  # the line of each number
+        if not np.diff(numbered).all() or (
+                count[_SEPARATOR] and np.isin(line[cls == _SEPARATOR], numbered).any()):
             raise DataValidationError(f"non-integer entry in parent map {path}")
 
-    negative = buf[starts] == ord("-")
-    first = starts + (cls[starts] == _SIGN)
-    widest = (ends - first).max(initial=0)
+    first, negative = before + 1, False  # where each number's digits start
+    if count[_SIGN]:
+        negative = buf[first] == ord("-")
+        first += cls[first] == _SIGN
+    widest = (last - first).max(initial=-1) + 1  # digits in the longest number
     if widest > _INT64_DIGITS:
         # only leading zeros may stand left of a number's 19 lowest digits
         places = np.flatnonzero(cls == _DIGIT)
-        high = places < np.repeat(ends - _INT64_DIGITS, ends - first)
+        high = places <= np.repeat(last - _INT64_DIGITS, last + 1 - first)
         if (buf[places[high]] != ord("0")).any():
             raise DataValidationError(f"parent index outside int64 in parent map {path}")
         widest = _INT64_DIGITS
-    magnitude = np.zeros(starts.size, dtype=np.uint64)
-    # one pass per decimal place, right to left; where a number is shorter,
-    # `at` falls left of it (below 0 at most wraps) and the place is masked
-    for place in range(widest):
-        at = ends - 1 - place
-        magnitude += np.where(at >= first, buf[at] - np.uint8(ord("0")), 0) * _POW10[place]
+    digit = buf - np.uint8(ord("0"))  # wraps outside a digit, where it is masked
+    # one pass per decimal place, right to left; every number has a units
+    # digit, and where a number is shorter, `at` falls left of it (below 0 at
+    # most wraps) and the place is masked
+    magnitude = digit[last].astype(np.uint64)
+    for place in range(1, widest):
+        at = last - place
+        magnitude += np.where(at >= first, digit[at], 0) * _POW10[place]
     # int64 holds magnitudes up to 2**63 - 1, and 2**63 when negative
     if widest == _INT64_DIGITS and (magnitude > _INT64_MAX + negative).any():
         raise DataValidationError(f"parent index outside int64 in parent map {path}")
     value = magnitude.view(np.int64)
-    np.negative(value, out=value, where=negative)
+    if count[_SIGN]:
+        np.negative(value, out=value, where=negative)
     return value
 
 
@@ -424,14 +478,14 @@ def load_cohort(manifest_path):
         entries.append(entry)
     require_unique_ids((entry["id"] for entry in entries), manifest_path)
 
-    base = manifest_path.parent
+    base = os.path.dirname(manifest_path)
     ref = None  # (d, path) of the first matrix read; every other must share d
 
     def read(rel) -> np.ndarray:
         nonlocal ref
-        path = base / rel
+        path = os.path.join(base, rel)
         mat = read_matrix(path)
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             idx = np.argwhere(~np.isfinite(mat))[0]
             raise DataValidationError(
                 f"non-finite entry at {tuple(int(i) for i in idx)} in {path}")
@@ -450,13 +504,14 @@ def load_cohort(manifest_path):
     for entry in entries:
         patch_mat = read(entry["patch"])
         region_mat = read(entry["region"])
-        parent_path = base / entry["parents"]
+        parent_path = os.path.join(base, entry["parents"])
         parents = read_parent_map(parent_path)
         if parents.size != patch_mat.shape[0]:
             raise DataValidationError(
                 f"{parent_path}: {parents.size} entries for {patch_mat.shape[0]} patches"
             )
-        if parents.size and (parents.min() < 0 or parents.max() >= region_mat.shape[0]):
+        # viewed as unsigned, a negative index reads as one of at least 2**63
+        if parents.size and parents.view(np.uint64).max() >= region_mat.shape[0]:
             raise DataValidationError(
                 f"{parent_path}: parent index out of range [0, {region_mat.shape[0]})"
             )
@@ -653,7 +708,9 @@ def discretize_times(records, n_bins: int) -> np.ndarray:
 
     Edges are the 1/T .. (T-1)/T quantiles of the uncensored times only;
     a time lands in bin 1 + (number of edges strictly below it), giving
-    labels in [1, T]. Mutates the records in place and returns the edges.
+    labels in [1, T]; one search over all the times finds every label, and
+    each is stored as a Python int. Mutates the records in place and returns
+    the edges.
     """
     if n_bins < 2:
         raise ConfigError(f"need at least 2 time bins, got {n_bins}")
@@ -667,6 +724,8 @@ def discretize_times(records, n_bins: int) -> np.ndarray:
         warnings.warn("all uncensored times are equal; every patient lands in bin 1")
     qs = np.arange(1, n_bins) / n_bins
     edges = np.quantile(uncensored, qs)
-    for rec in records:
-        rec.time_bin = int(1 + np.searchsorted(edges, rec.time, side="left"))
+    times = np.array([r.time for r in records], dtype=np.float64)
+    labels = (1 + np.searchsorted(edges, times, side="left")).tolist()
+    for rec, label in zip(records, labels):
+        rec.time_bin = label
     return edges

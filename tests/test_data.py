@@ -1,9 +1,12 @@
 import json
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from promptsurv import data
 from promptsurv.data import (
     PATCH,
     REGION,
@@ -187,6 +190,65 @@ class TestCohortIO:
         loaded, loaded_prompts = load_cohort(manifest)
         assert len(loaded) == 2 and loaded_prompts == {}
 
+    def test_each_file_is_read_once_through_the_public_readers(self, tmp_path, monkeypatch):
+        # the offline twin of the benchmark's traced byte count, which wraps
+        # these two readers: a load that reads around them goes unmeasured
+        n = 5
+        records, prompts, _ = generate_synthetic(small_spec(n_patients=n))
+        manifest = write_cohort(records, prompts, tmp_path)
+        calls = {"read_matrix": [], "read_parent_map": []}
+        for name, paths in calls.items():
+            def logged(path, reader=getattr(data, name), paths=paths):
+                paths.append(Path(path).resolve())
+                return reader(path)
+            monkeypatch.setattr(data, name, logged)
+        load_cohort(manifest)
+        matrices, parent_maps = calls["read_matrix"], calls["read_parent_map"]
+        assert len(matrices) == 2 * n + 2 and len(parent_maps) == n
+        assert set(matrices) == {
+            (tmp_path / name).resolve() for name in
+            ["prompts_patch.mat", "prompts_region.mat"]
+            + [f"p{i:04d}_{level}.mat" for i in range(n) for level in (PATCH, REGION)]}
+        assert set(parent_maps) == {(tmp_path / f"p{i:04d}_parents.txt").resolve()
+                                    for i in range(n)}
+
+    def test_cohort_loads_back_as_the_written_arrays(self, tmp_path):
+        records, prompts, _ = generate_synthetic(small_spec(n_patients=4))
+        loaded, loaded_prompts = load_cohort(write_cohort(records, prompts, tmp_path))
+
+        def same(got, want):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+        assert list(loaded_prompts) == list(prompts)
+        for level, pset in prompts.items():
+            same(loaded_prompts[level].prompts, pset.prompts)
+        assert len(loaded) == len(records)
+        for back, orig in zip(loaded, records):
+            same(back.patch_bag.tokens, orig.patch_bag.tokens)
+            same(back.region_bag.tokens, orig.region_bag.tokens)
+            same(back.patch_bag.parent_region, orig.patch_bag.parent_region)
+
+    def test_loaded_arrays_are_typed_owned_and_writeable(self, tmp_path):
+        # training reads the token matrices in place: each must be its own
+        # aligned, writeable, C-ordered float64 block
+        records, prompts, _ = generate_synthetic(small_spec(n_patients=6))
+        loaded, loaded_prompts = load_cohort(write_cohort(records, prompts, tmp_path))
+        discretize_times(loaded, 2)
+        tokens = [pset.prompts for pset in loaded_prompts.values()]
+        parents = []
+        for rec in loaded:
+            assert type(rec.time_bin) is int
+            tokens += [rec.patch_bag.tokens, rec.region_bag.tokens]
+            parents.append(rec.patch_bag.parent_region)
+        for arr in tokens:
+            assert arr.dtype == np.float64
+            assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+        assert all(arr.dtype == np.int64 for arr in parents)
+        arrays = tokens + parents
+        for i, arr in enumerate(arrays):
+            assert not any(np.may_share_memory(arr, other) for other in arrays[i + 1:])
+
 
 def read_parent_map_per_line(path) -> np.ndarray:
     """The reference parent-map reader: one Python int() per line."""
@@ -225,6 +287,22 @@ PARENT_MAPS_NOW_REJECTED = [
     b"1_0\n", b"%d\n" % (INT64_MAX + 1), b"%d\n" % (INT64_MIN - 1), b"9" * 20 + b"\n",
     b"1" + b"0" * 40 + b"\n",
 ]
+
+
+# one line of a parent map: the written format, then rarer lines; %(a)d and
+# %(b)d stand for two numbers
+PARENT_MAP_LINES = [
+    b"%(a)d\n",
+    # accepted
+    b"\n", b" %(a)d\n", b"%(a)d\t\n", b"\t\n%(a)d\n", b"\x1c\x1f\n%(a)d\n",
+    b"+%(a)d\n", b"-%(a)d\n", b"%(a)d\r\n", b"%(a)d\r", b"00%(a)d\n",
+    # rejected, from index PARENT_MAP_LINES_ACCEPTED on
+    b"%(a)d %(b)d\n", b"%(a)d\t%(b)d\n", b"\x1e%(a)d\n", b"%(a)d \x1d\n",
+    b"%(a)d-%(b)d\n", b"+-%(a)d\n",
+]
+PARENT_MAP_LINES_ACCEPTED = 11
+# the bytes that let two numbers, or a number and a separator, share a line
+BLANKS = [bytes([byte]) for byte in b" \t\x0b\x0c\x1c\x1d\x1e\x1f"]
 
 
 class TestReaders:
@@ -269,6 +347,62 @@ class TestReaders:
                     read_parent_map(path)
             else:
                 assert read_parent_map(path).tobytes() == want, path.read_bytes()
+
+    def test_parent_map_agrees_with_the_per_line_reader_on_whole_maps(self, tmp_path):
+        # maps of 50-3000 lines in the written format, with rare lines outside
+        # it; most hold no blank or separator byte, so the line checks are
+        # skipped on them, and the rest reach those checks at file scale
+        rng = np.random.default_rng(20)
+        path = tmp_path / "parents.txt"
+        outcomes = {"accepted": 0, "rejected": 0, "line checked": 0}
+        for _ in range(500):
+            size = int(rng.integers(50, 3001))
+            rate = rng.choice([0.0, 1e-3, 3e-3])
+            # half the maps depart from the format only within the grammar
+            last = rng.choice([PARENT_MAP_LINES_ACCEPTED, len(PARENT_MAP_LINES)])
+            kinds = np.where(rng.random(size) < rate, rng.integers(1, last, size), 0)
+            values = rng.integers(0, 10**6, size=(size, 2)).tolist()
+            content = b"".join(PARENT_MAP_LINES[kind] % {b"a": a, b"b": b}
+                               for kind, (a, b) in zip(kinds.tolist(), values))
+            path.write_bytes(content)
+            try:
+                want = read_parent_map_per_line(path).tobytes()
+            except ValueError:
+                outcomes["rejected"] += 1
+                with pytest.raises(DataValidationError, match="non-integer entry"):
+                    read_parent_map(path)
+            else:
+                outcomes["accepted"] += 1
+                outcomes["line checked"] += any(byte in content for byte in BLANKS)
+                assert read_parent_map(path).tobytes() == want
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_directory_parent_map(self, tmp_path):
+        (tmp_path / "parents.txt").mkdir()
+        with pytest.raises(DataValidationError, match="missing parent map"):
+            read_parent_map(tmp_path / "parents.txt")
+
+    @pytest.mark.parametrize("header_bytes", [4, 63, 64, 65, 128, 304])
+    def test_header_of_any_length_loads_bit_exactly(self, tmp_path, header_bytes):
+        # leading zeros pad the row count; the newline falls before, on and
+        # after the end of the first read
+        mat = np.random.default_rng(header_bytes).normal(size=(5, 3))
+        path = tmp_path / "m.mat"
+        path.write_bytes(b"5 3\n".rjust(header_bytes, b"0") + mat.astype("<f8").tobytes())
+        back = read_matrix(path)
+        assert back.shape == (5, 3) and back.tobytes() == mat.tobytes()
+
+    def test_reads_that_stop_short_are_resumed(self, tmp_path, monkeypatch):
+        # one read may return fewer bytes than asked for (Linux stops one at
+        # 2 GiB); here every read stops after 7 bytes
+        mat = np.random.default_rng(5).normal(size=(6, 4))
+        write_matrix(tmp_path / "m.mat", mat)
+        (tmp_path / "parents.txt").write_bytes(b"3\n" * 20)
+        readv = os.readv
+        monkeypatch.setattr(os, "readv", lambda fd, buffers: readv(
+            fd, [memoryview(buffers[0]).cast("B")[:7]]))
+        assert read_matrix(tmp_path / "m.mat").tobytes() == mat.tobytes()
+        assert read_parent_map(tmp_path / "parents.txt").tolist() == [3] * 20
 
     def test_missing_parent_map(self, tmp_path):
         with pytest.raises(DataValidationError, match="missing parent map"):
