@@ -5,12 +5,13 @@ by a manifest, or the synthetic generator, which plants a recoverable
 survival signal so the whole pipeline can be exercised end to end at desk
 scale.
 
-File formats (all paths in a manifest are relative to the manifest):
-  - matrix file: one ASCII header line ``rows cols`` (two non-negative
-    integers) followed by exactly rows*cols little-endian IEEE-754 float64
-    values in row-major order
-  - parent map: one decimal region index per line (patch i's parent on
-    line i); whitespace around it and whitespace-only lines are allowed
+File formats (all paths in a manifest are relative to the manifest). Every
+number in a cohort file is 1 to 18 ASCII digits, with no sign, so it always
+fits int64:
+  - matrix file: one ASCII header line ``rows cols`` followed by exactly
+    rows*cols little-endian IEEE-754 float64 values in row-major order
+  - parent map: one region index per line (patch i's parent on line i);
+    blanks around it and blank lines are allowed
   - manifest: JSON listing per-patient files plus one prompt file per level
 """
 
@@ -260,9 +261,8 @@ def write_matrix(path, arr: np.ndarray):
         fh.write(arr.astype("<f8").tobytes(order="C"))
 
 
-# a matrix header: two numbers, each as the parent-map grammar below takes one
-# (an optional sign, then ASCII digits), between ASCII whitespace
-_HEADER = re.compile(rb"\s*([+-]?[0-9]+)\s+([+-]?[0-9]+)\s*")
+# a matrix header: two numbers of 1 to 18 ASCII digits between ASCII whitespace
+_HEADER = re.compile(rb"\s*([0-9]{1,18})\s+([0-9]{1,18})\s*")
 # bytes per read while looking for the end of a matrix header
 _HEADER_CHUNK = 64
 
@@ -309,9 +309,8 @@ def _read_header(fd: int) -> bytes:
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file straight into one preallocated float64 array.
 
-    The file is opened once, unbuffered. The header holds two integers in the
-    parent-map grammar (an optional sign, then ASCII digits), neither negative
-    nor beyond int64, and may be of any length. The file size is checked
+    The file is opened once, unbuffered. The header holds two numbers of 1 to
+    18 ASCII digits and may be of any length. The file size is checked
     against it before anything is allocated, so a header that lies about its
     dimensions sizes nothing; the payload is then read into the array."""
     fd, size = _open(path, "missing embedding file")
@@ -321,10 +320,6 @@ def read_matrix(path) -> np.ndarray:
         if dims is None:
             raise DataValidationError(f"bad header in {path}: {header!r}")
         rows, cols = int(dims[1]), int(dims[2])
-        if rows < 0 or cols < 0:
-            raise DataValidationError(f"bad header in {path}: negative dimensions {rows}x{cols}")
-        if max(rows, cols) >= 2**63:
-            raise DataValidationError(f"bad header in {path}: dimension outside int64")
         expected = rows * cols * 8
         got = size - len(header)
         if got == expected:
@@ -345,42 +340,26 @@ def write_parent_map(path, parents: np.ndarray):
             fh.write(f"{int(idx)}\n")
 
 
-# The parent-map grammar, line by line: optional whitespace, an optional sign,
-# decimal digits, optional whitespace; a whitespace-only line is skipped. \n
-# and \r each end a line. \x1c-\x1f are whitespace only on a line that holds
-# no number, as for Python's str.strip() and int().
-_CLASSES = 6
-_INVALID, _SPACE, _NEWLINE, _SEPARATOR, _DIGIT, _SIGN = range(_CLASSES)
+# The parent-map grammar: a line holds blanks and at most one number; \n and
+# \r each end a line
+_INVALID, _BLANK, _NEWLINE, _DIGIT = range(4)
 _BYTE_CLASS = np.full(256, _INVALID, dtype=np.uint8)
-_BYTE_CLASS[list(b" \t\v\f")] = _SPACE
+_BYTE_CLASS[list(b" \t\v\f")] = _BLANK
 _BYTE_CLASS[list(b"\n\r")] = _NEWLINE
-_BYTE_CLASS[0x1c:0x20] = _SEPARATOR
 _BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[list(b"+-")] = _SIGN
-# _FOLLOWS[a * _CLASSES + b]: may a byte of class b follow one of class a?
-_FOLLOWS = np.zeros((_CLASSES, _CLASSES), dtype=bool)
-_FOLLOWS[[_SPACE, _NEWLINE], _SPACE:] = True
-_FOLLOWS[_SEPARATOR, [_SPACE, _NEWLINE, _SEPARATOR]] = True
-_FOLLOWS[_DIGIT, [_SPACE, _NEWLINE, _DIGIT]] = True
-_FOLLOWS[_SIGN, _DIGIT] = True
-_FOLLOWS = _FOLLOWS.ravel()
-# _BOUNDS[a * _CLASSES + b]: does a number start or end between the two bytes?
-_IN_NUMBER = np.arange(_CLASSES) >= _DIGIT
-_BOUNDS = (_IN_NUMBER[:, None] != _IN_NUMBER[None, :]).ravel()
-_INT64_DIGITS = 19
-_POW10 = np.uint64(10) ** np.arange(_INT64_DIGITS, dtype=np.uint64)
-_INT64_MAX = np.uint64(2**63 - 1)
+_MAX_DIGITS = 18  # below 10**18, every index fits int64
+_POW10 = np.int64(10) ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
 def read_parent_map(path) -> np.ndarray:
     """Parse a parent map with whole-array operations on its bytes.
 
     The file is opened once, unbuffered, and read into one byte array. Every
-    line that is not whitespace-only must hold one decimal integer within
-    int64."""
+    line that is not blank must hold one unsigned decimal index of 1 to 18
+    digits."""
     fd, size = _open(path, "missing parent map")
     try:
-        # a newline on each side gives every number a blank neighbour
+        # a newline on each side gives every number a non-digit neighbour
         buf = np.empty(size + 2, dtype=np.uint8)
         got = _read_into(fd, buf[1:-1])
     finally:
@@ -388,48 +367,27 @@ def read_parent_map(path) -> np.ndarray:
     buf = buf[:got + 2]
     buf[0] = buf[-1] = ord("\n")
     cls = _BYTE_CLASS.take(buf)
-    pair = cls[:-1] * np.uint8(_CLASSES) + cls[1:]  # the classes of bytes i and i + 1
-    if not _FOLLOWS.take(pair).all():
-        raise DataValidationError(f"non-integer entry in parent map {path}")
-    count = np.bincount(cls, minlength=_CLASSES)
+    count = np.bincount(cls, minlength=4)
     # each number runs from the byte after `before` through `last`
-    edges = np.flatnonzero(_BOUNDS.take(pair))
+    is_digit = cls == _DIGIT
+    edges = np.flatnonzero(is_digit[:-1] != is_digit[1:])
     before, last = edges[0::2], edges[1::2]
-    # only a blank or a separator can share a line with a number: without
-    # them, the bytes between two numbers are newlines
-    if count[_SPACE] or count[_SEPARATOR]:
-        line = np.cumsum(cls == _NEWLINE)
-        numbered = line[last]  # the line of each number
-        if not np.diff(numbered).all() or (
-                count[_SEPARATOR] and np.isin(line[cls == _SEPARATOR], numbered).any()):
-            raise DataValidationError(f"non-integer entry in parent map {path}")
-
-    first, negative = before + 1, False  # where each number's digits start
-    if count[_SIGN]:
-        negative = buf[first] == ord("-")
-        first += cls[first] == _SIGN
-    widest = (last - first).max(initial=-1) + 1  # digits in the longest number
-    if widest > _INT64_DIGITS:
-        # only leading zeros may stand left of a number's 19 lowest digits
-        places = np.flatnonzero(cls == _DIGIT)
-        high = places <= np.repeat(last - _INT64_DIGITS, last + 1 - first)
-        if (buf[places[high]] != ord("0")).any():
-            raise DataValidationError(f"parent index outside int64 in parent map {path}")
-        widest = _INT64_DIGITS
+    widest = (last - before).max(initial=0)  # digits in the longest number
+    # only a blank can share a line with a number: without one, the bytes
+    # between two numbers are newlines
+    one_per_line = not count[_BLANK] or np.diff(np.cumsum(cls == _NEWLINE)[last]).all()
+    if count[_INVALID] or widest > _MAX_DIGITS or not one_per_line:
+        raise DataValidationError(
+            f"bad parent map {path}: want one unsigned decimal index per line, "
+            f"of 1 to {_MAX_DIGITS} digits")
     digit = buf - np.uint8(ord("0"))  # wraps outside a digit, where it is masked
     # one pass per decimal place, right to left; every number has a units
     # digit, and where a number is shorter, `at` falls left of it (below 0 at
     # most wraps) and the place is masked
-    magnitude = digit[last].astype(np.uint64)
+    value = digit[last].astype(np.int64)
     for place in range(1, widest):
         at = last - place
-        magnitude += np.where(at >= first, digit[at], 0) * _POW10[place]
-    # int64 holds magnitudes up to 2**63 - 1, and 2**63 when negative
-    if widest == _INT64_DIGITS and (magnitude > _INT64_MAX + negative).any():
-        raise DataValidationError(f"parent index outside int64 in parent map {path}")
-    value = magnitude.view(np.int64)
-    if count[_SIGN]:
-        np.negative(value, out=value, where=negative)
+        value += np.where(at > before, digit[at], 0) * _POW10[place]
     return value
 
 
@@ -510,8 +468,7 @@ def load_cohort(manifest_path):
             raise DataValidationError(
                 f"{parent_path}: {parents.size} entries for {patch_mat.shape[0]} patches"
             )
-        # viewed as unsigned, a negative index reads as one of at least 2**63
-        if parents.size and parents.view(np.uint64).max() >= region_mat.shape[0]:
+        if parents.size and parents.max() >= region_mat.shape[0]:
             raise DataValidationError(
                 f"{parent_path}: parent index out of range [0, {region_mat.shape[0]})"
             )

@@ -237,20 +237,6 @@ class TrainConfig:
         return read_settings(cls, path, "config")
 
 
-@dataclass
-class AttnParams:
-    """Gated-attention pooling parameters for the selection-free baseline."""
-
-    v: ad.Node  # d x da, tanh branch
-    u: ad.Node  # d x da, sigmoid branch
-    w: ad.Node  # da x 1, scoring vector
-
-
-def attention_pool(bag: ad.Node, attn: AttnParams) -> ad.Node:
-    """ABMIL-style gated attention: softmax-weighted token mean (1 x d)."""
-    return gated_attention(bag, attn.v, attn.u, attn.w)
-
-
 def _stream(seed: int, fold: int, tag: str) -> np.random.Generator:
     return np.random.default_rng([seed, fold, zlib.crc32(tag.encode("ascii"))])
 
@@ -274,11 +260,13 @@ def build_parameters(d: int, cfg: TrainConfig, switches: VariantSwitches,
         params[name] = ad.parameter(init, name)
         return params[name]
 
+    # the selection-free baseline's gated-attention pooling: (v, u, w) are
+    # d x da (tanh branch), d x da (sigmoid branch) and da x 1 (scoring)
     attn = None
     if not switches.use_selection:
         da = cfg.attention_dim or d
-        attn = AttnParams(v=param("attn.v", d, da, d), u=param("attn.u", d, da, d),
-                          w=param("attn.w", da, 1, da))
+        attn = (param("attn.v", d, da, d), param("attn.u", d, da, d),
+                param("attn.w", da, 1, da))
     gate = None
     if switches.use_gate:
         gate = GateParams(
@@ -461,7 +449,8 @@ class Pipeline:
             chosen += ((REGION, region_idx),)
             tokens = region_node = ad.gather_rows(region_input, region_idx)
         if self.attn is not None:
-            tokens = attention_pool(tokens, self.attn)
+            # ABMIL-style gated attention: softmax-weighted token mean (1 x d)
+            tokens = gated_attention(tokens, *self.attn)
         return hazards(tokens, self.head, prefix), patch_proto, region_node, chosen
 
     def patient_loss(self, rec: PatientRecord, update_queues: bool = True) -> ad.Node:
@@ -630,9 +619,9 @@ def cross_validate(records: list[PatientRecord], prompts: dict[str, PromptSet],
     Given a `memo` (an empty dict will do), all folds share it, so each
     patient's raw-bag selections are solved once, not once per fold; the
     CLI and `run_ablation` pass one. Without it each fold solves its own,
-    as a standalone `train_fold` does. Either way the results are identical,
-    and a memo filled on another cohort only serves the bags it was filled
-    from.
+    as a standalone `train_fold` does. Either way the results are identical.
+    A memo holds every bag it was filled from, and serves only those bags,
+    so give each cohort a fresh one.
     """
     folds = split_folds(records, k, cfg.seed)
     reports = []

@@ -208,10 +208,11 @@ class TestTrainAndCv:
         assert str(parents) in capsys.readouterr().err
 
     def test_negative_matrix_header_exit_code(self, cohort_dir, tmp_path, capsys):
-        (cohort_dir / "p0003_patch.mat").write_bytes(b"-2 -4\n" + bytes(64))
+        patch = cohort_dir / "p0003_patch.mat"
+        patch.write_bytes(b"-2 -4\n" + bytes(64))
         assert run(["cv", "--manifest", cohort_dir / "manifest.json",
                     "--out", tmp_path / "o"]) == 3
-        assert "negative dimensions" in capsys.readouterr().err
+        assert f"bad header in {patch}" in capsys.readouterr().err
 
     def test_matrix_header_outside_the_parent_map_grammar_exit_code(self, cohort_dir,
                                                                    tmp_path, capsys):
@@ -374,19 +375,24 @@ class TestConfigFlags:
 
 
 class TestNumpyOnly:
-    def test_synth_cv_and_km_export_run_without_scipy(self, tmp_path):
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
         (tmp_path / "spec.json").write_text(json.dumps({
             "n_patients": 20, "n_regions": 3, "patches_per_region": 4, "d": 8,
             "n_prompts_patch": 3, "n_prompts_region": 3, "seed": 5,
         }))
+        cohort = "'--manifest', 'cohort/manifest.json', '--epochs', '1', '--n-bins', '3'"
         script = (
             "from promptsurv.cli import main\n"
             "codes = [main(['synth', '--spec', 'spec.json', '--out', 'cohort']),\n"
-            "         main(['cv', '--manifest', 'cohort/manifest.json', '--out', 'cv',\n"
-            "               '--folds', '3', '--epochs', '1', '--n-bins', '3']),\n"
-            "         main(['km-export', '--risks', 'cv/risks.csv', '--out', 'km'])]\n"
+            f"         main(['cv', {cohort}, '--out', 'cv', '--folds', '3']),\n"
+            "         main(['km-export', '--risks', 'cv/risks.csv', '--out', 'km']),\n"
+            f"         main(['train', {cohort}, '--out', 'train']),\n"
+            f"         main(['ablate', {cohort}, '--out', 'ablate', '--folds', '3',\n"
+            "               '--variants', 'AG'])]\n"
             "print(codes)\n")
         done = run_without_scipy(script, tmp_path)
-        assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["[0, 0, 0]"]), \
+        assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["[0, 0, 0, 0, 0]"]), \
             done.stderr
         assert (tmp_path / "km" / "logrank.json").is_file()
+        assert (tmp_path / "train" / "risks.csv").is_file()
+        assert (tmp_path / "ablate" / "ablation.csv").is_file()
