@@ -1,6 +1,6 @@
 """Prompt-aligned hierarchical survival prediction at desk scale.
 
-Subpackages by responsibility:
+Modules by responsibility:
   autodiff  - dense-matrix reverse-mode differentiation engine
   optim     - Adam optimizer over named parameters
   data      - token bags, prompt sets, cohort I/O, synthetic generator

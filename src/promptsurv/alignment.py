@@ -22,6 +22,7 @@ tokens downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,15 +90,11 @@ class SinkhornResult:
     iterations: int
 
 
-@dataclass
-class MatchingResult:
-    """Everything the alignment stage produces for one bag."""
+class Selection(NamedTuple):
+    """Kept token indices (ascending) and the health of the solve that chose
+    them; cosine scoring always reads converged."""
 
-    plan: np.ndarray           # M x N transport plan
-    cost_value: float          # <plan, cost>
-    probability: np.ndarray    # M x N, columns sum to 1
-    score: np.ndarray          # length M alignment score
-    selected: np.ndarray       # ascending indices of the kept tokens
+    selected: np.ndarray
     converged: bool = True
     residual: float = 0.0
 
@@ -216,25 +213,17 @@ def select_top(score: np.ndarray, r: float) -> np.ndarray:
 
 def match_bag(tokens: np.ndarray, prompts: np.ndarray, r: float,
               epsilon: float = SINKHORN_EPSILON, tol: float = SINKHORN_TOL,
-              max_iters: int = SINKHORN_MAX_ITERS) -> MatchingResult:
+              max_iters: int = SINKHORN_MAX_ITERS) -> Selection:
     """Full alignment of one token matrix against a prompt matrix.
 
-    Transport scoring with uniform marginals, then top-r selection.
+    Transport scoring with uniform marginals, then top-r selection. Returns
+    the kept indices and the solve's health; the plan, probability and score
+    are what `sinkhorn`, `matching_probability` and `alignment_score` give.
     """
-    cost = cosine_cost(tokens, prompts)
     result = sinkhorn(TransportProblem.uniform(
-        cost, epsilon=epsilon, max_iters=max_iters, tol=tol))
-    probability = matching_probability(result.plan)
-    score = alignment_score(probability)
-    return MatchingResult(
-        plan=result.plan,
-        cost_value=result.cost_value,
-        probability=probability,
-        score=score,
-        selected=select_top(score, r),
-        converged=result.converged,
-        residual=result.residual,
-    )
+        cosine_cost(tokens, prompts), epsilon=epsilon, max_iters=max_iters, tol=tol))
+    score = alignment_score(matching_probability(result.plan))
+    return Selection(select_top(score, r), result.converged, result.residual)
 
 
 # ---------------------------------------------------------------------------

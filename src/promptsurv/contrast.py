@@ -25,18 +25,14 @@ class Prototype:
     patient_id: str
 
 
-def prototype_node(selected: ad.Node) -> ad.Node:
-    """Sum the selected tokens over the token dimension and L2-normalize.
-
-    Differentiable through both the sum and the normalization; raises on a
-    zero-sum token set (no direction to normalize).
-    """
-    return normalized_col_sum(selected)
-
-
 def make_prototype(selected: ad.Node, patient_id: str) -> tuple[ad.Node, Prototype]:
-    """Graph node plus the detached queue entry for the same prototype."""
-    node = prototype_node(selected)
+    """Graph node plus the detached queue entry for the same prototype.
+
+    The node sums the selected tokens over the token dimension and
+    L2-normalizes, differentiably through both; a zero-sum token set (no
+    direction to normalize) raises.
+    """
+    node = normalized_col_sum(selected)
     return node, Prototype(vector=node.value[0].copy(), patient_id=patient_id)
 
 
@@ -88,40 +84,22 @@ class MemoryQueue:
         return self._vectors[keep]
 
 
-def contrastive_loss(anchor: ad.Node, positive: ad.Node,
-                     negatives: np.ndarray, temperature: float = 1.0):
-    """One direction of the queue-contrastive loss.
-
-    -log( exp(a.p/t) / (exp(a.p/t) + sum_k exp(a.n_k/t)) ) with raw dot
-    products of unit-norm prototypes. Differentiable w.r.t. anchor and
-    positive only; returns None when there are no negatives (contribution
-    skipped).
-    """
-    if negatives.size == 0:
-        return None
-    return ad.contrastive(anchor, positive, negatives, temperature)
-
-
 def mutual_contrastive_loss(proto_patch: ad.Node, proto_region: ad.Node,
              queue_patch: MemoryQueue, queue_region: MemoryQueue,
-             patient_id: str, temperature: float = 1.0) -> ad.Node:
+             patient_id: str, temperature: float = 1.0) -> ad.Node | None:
     """Symmetric two-direction loss against the opposite level's queue.
 
-    Patch anchors contrast against queued region prototypes and vice versa;
-    a direction with an empty queue is skipped, and the loss is exactly zero
-    while both queues are empty (cold start).
+    Patch anchors contrast against queued region prototypes and vice versa,
+    each direction -log( exp(a.p/t) / (exp(a.p/t) + sum_k exp(a.n_k/t)) ) with
+    raw dot products of unit-norm prototypes, differentiable w.r.t. anchor and
+    positive only. A direction whose queue holds no other patient is skipped;
+    when both are (cold start) the result is None.
     """
-    parts = []
-    fwd = contrastive_loss(proto_patch, proto_region,
-                           queue_region.negatives_for(patient_id), temperature)
-    if fwd is not None:
-        parts.append(fwd)
-    rev = contrastive_loss(proto_region, proto_patch,
-                           queue_patch.negatives_for(patient_id), temperature)
-    if rev is not None:
-        parts.append(rev)
-    if not parts:
-        return ad.constant([[0.0]])
-    if len(parts) == 1:
-        return parts[0]
-    return ad.add(parts[0], parts[1])
+    loss = None
+    for anchor, positive, queue in ((proto_patch, proto_region, queue_region),
+                                    (proto_region, proto_patch, queue_patch)):
+        negatives = queue.negatives_for(patient_id)
+        if negatives.size:
+            part = ad.contrastive(anchor, positive, negatives, temperature)
+            loss = part if loss is None else ad.add(loss, part)
+    return loss

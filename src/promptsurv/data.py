@@ -46,7 +46,7 @@ class FeatureBag:
 
     def __post_init__(self):
         self.tokens = np.ascontiguousarray(self.tokens, dtype=np.float64)
-        if self.tokens.ndim != 2 or self.tokens.shape[0] < 1:
+        if self.tokens.ndim != 2 or self.tokens.size == 0:
             raise DataValidationError(
                 f"{self.level} bag must be a nonempty matrix, got shape {self.tokens.shape}"
             )
@@ -77,7 +77,7 @@ class PromptSet:
 
     def __post_init__(self):
         self.prompts = np.ascontiguousarray(self.prompts, dtype=np.float64)
-        if self.prompts.ndim != 2 or self.prompts.shape[0] < 1:
+        if self.prompts.ndim != 2 or self.prompts.size == 0:
             raise DataValidationError(
                 f"{self.level} prompt set must be a nonempty matrix, "
                 f"got shape {self.prompts.shape}"
@@ -413,9 +413,10 @@ def load_cohort(manifest_path):
 
     Returns (records, prompts) where prompts maps level name to PromptSet.
     Rejects a manifest, prompt table or patient entry whose keys hold the
-    wrong JSON type (unknown keys are ignored), repeated patient ids, any
-    dimension mismatch across the matrix files, out-of-range parent indices,
-    and non-finite embedding entries.
+    wrong JSON type (unknown keys are ignored), repeated patient ids, a
+    matrix file with no rows or no columns, any dimension mismatch across the
+    matrix files, out-of-range parent indices, and non-finite embedding
+    entries.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -443,6 +444,8 @@ def load_cohort(manifest_path):
         nonlocal ref
         path = os.path.join(base, rel)
         mat = read_matrix(path)
+        if mat.size == 0:
+            raise DataValidationError(f"empty {mat.shape[0]}x{mat.shape[1]} matrix in {path}")
         if not np.isfinite(mat).all():
             idx = np.argwhere(~np.isfinite(mat))[0]
             raise DataValidationError(

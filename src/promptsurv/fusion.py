@@ -5,26 +5,11 @@ tanh-projected streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import _row_sum as row_sum, gate_blend  # row_sum: the head's in-order sum
 from .errors import DataValidationError, ShapeError
-
-
-@dataclass
-class GateParams:
-    """Learnable maps of the gate: concat projection (2d -> d) and one
-    d -> d projection per stream, each with a bias row."""
-
-    w_gate: ad.Node   # 2d x d
-    b_gate: ad.Node   # 1 x d
-    w_patch: ad.Node  # d x d
-    b_patch: ad.Node  # 1 x d
-    w_region: ad.Node  # d x d
-    b_region: ad.Node  # 1 x d
 
 
 def pool_to_regions(selected_tokens: np.ndarray, selected_indices: np.ndarray,
@@ -62,12 +47,14 @@ def pool_to_regions(selected_tokens: np.ndarray, selected_indices: np.ndarray,
     return pooled
 
 
-def gate_fuse(pooled: ad.Node, region_bag: ad.Node, params: GateParams) -> ad.Node:
+def gate_fuse(pooled: ad.Node, region_bag: ad.Node, gate: tuple) -> ad.Node:
     """Recalibrate the region bag against the pooled patch evidence.
 
-    G = sigmoid([pooled ; regions] @ w_gate + b_gate) gates a convex,
-    elementwise combination of the two tanh-projected streams, so every
-    output entry stays strictly inside (-1, 1). One graph node.
+    `gate` is (w_gate, b_gate, w_patch, b_patch, w_region, b_region) in
+    `gate_blend`'s order: a 2d x d concat projection and one d x d projection
+    per stream, each with a 1 x d bias row. G = sigmoid([pooled ; regions] @
+    w_gate + b_gate) gates a convex, elementwise combination of the two
+    tanh-projected streams, so every output entry stays strictly inside
+    (-1, 1). One graph node.
     """
-    return gate_blend(pooled, region_bag, params.w_gate, params.b_gate,
-                      params.w_patch, params.b_patch, params.w_region, params.b_region)
+    return gate_blend(pooled, region_bag, *gate)

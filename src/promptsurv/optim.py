@@ -7,12 +7,18 @@ import numpy as np
 from .autodiff import Node
 from .errors import ShapeError, TrainingError
 
+# Adam's moment decays and denominator floor, at their usual values
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamState:
     """Bias-corrected Adam with one contiguous buffer per quantity.
 
-    Defaults follow the usual convention: beta1=0.9, beta2=0.999, eps=1e-8.
-    The step counter increases by one on every call to `step` that succeeds.
+    The moment decays and the denominator floor are the module constants
+    BETA1, BETA2 and EPS. The step counter increases by one on every call
+    to `step` that succeeds.
 
     Parameter values, gradients and both moments each live in one float64
     buffer, and every parameter's `value` and `grad` are views into the
@@ -23,13 +29,9 @@ class AdamState:
     `Node.zero_grad` leaves, as zeros).
     """
 
-    def __init__(self, params: dict[str, Node], lr: float = 2e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Node], lr: float = 2e-4):
         self.params = params
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         size = sum(p.value.size for p in params.values())
         self._values, self._update, self._denom = np.empty(size), np.empty(size), np.empty(size)
@@ -65,17 +67,17 @@ class AdamState:
         self.step_count += 1
         t = self.step_count
         m, v, update, denom = self._m, self._v, self._update, self._denom
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=update)
-        v *= self.beta2
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=update)
+        v *= BETA2
         np.multiply(g, g, out=update)
-        update *= 1.0 - self.beta2
+        update *= 1.0 - BETA2
         v += update
-        np.divide(m, 1.0 - self.beta1 ** t, out=update)  # m_hat
+        np.divide(m, 1.0 - BETA1 ** t, out=update)  # m_hat
         update *= self.lr
-        np.divide(v, 1.0 - self.beta2 ** t, out=denom)   # v_hat
+        np.divide(v, 1.0 - BETA2 ** t, out=denom)   # v_hat
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += EPS
         update /= denom
         self._values -= update
 

@@ -46,7 +46,6 @@ import warnings
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +55,7 @@ from .alignment import (
     SINKHORN_EPSILON,
     SINKHORN_MAX_ITERS,
     SINKHORN_TOL,
+    Selection,
     cosine_scores_multi,
     cosine_scores_single,
     match_bag,
@@ -65,7 +65,7 @@ from .contrast import MemoryQueue, make_prototype, mutual_contrastive_loss
 from .data import (PATCH, REGION, FeatureBag, PatientRecord, PromptSet, read_settings,
                    require_unique_ids, write_json)
 from .errors import ConfigError, DegenerateInputError, MetricError, TrainingError
-from .fusion import GateParams, gate_fuse, pool_to_regions, row_sum
+from .fusion import gate_fuse, pool_to_regions, row_sum
 from .metrics import (
     KM_COLUMNS,
     KMCurve,
@@ -77,7 +77,6 @@ from .metrics import (
 )
 from .optim import AdamState
 from .survival import (
-    HeadParams,
     fuse,
     hazards,
     nll_loss,
@@ -252,6 +251,9 @@ def build_parameters(d: int, cfg: TrainConfig, switches: VariantSwitches,
 
     Each parameter draws from the stream named after it, so disabled modules
     consume no randomness and enabling one never shifts another's init.
+    Returns (params by name, head, gate, attention): the head is (weight,
+    bias), the gate a 6-tuple in `gate_blend`'s order or None, and the
+    attention (v, u, w) or None, each in the order its op takes them.
     """
     params: dict[str, ad.Node] = {}
 
@@ -269,26 +271,11 @@ def build_parameters(d: int, cfg: TrainConfig, switches: VariantSwitches,
                 param("attn.w", da, 1, da))
     gate = None
     if switches.use_gate:
-        gate = GateParams(
-            w_gate=param("gate.w_gate", 2 * d, d, 2 * d),
-            b_gate=param("gate.b_gate", 1, d, 2 * d),
-            w_patch=param("gate.w_patch", d, d, d),
-            b_patch=param("gate.b_patch", 1, d, d),
-            w_region=param("gate.w_region", d, d, d),
-            b_region=param("gate.b_region", 1, d, d),
-        )
-    head = HeadParams(weight=param("head.weight", d, cfg.n_bins, d),
-                      bias=param("head.bias", 1, cfg.n_bins, d))
+        gate = (param("gate.w_gate", 2 * d, d, 2 * d), param("gate.b_gate", 1, d, 2 * d),
+                param("gate.w_patch", d, d, d), param("gate.b_patch", 1, d, d),
+                param("gate.w_region", d, d, d), param("gate.b_region", 1, d, d))
+    head = (param("head.weight", d, cfg.n_bins, d), param("head.bias", 1, cfg.n_bins, d))
     return params, head, gate, attn
-
-
-class Selection(NamedTuple):
-    """Kept token indices (ascending, read-only) and the health of the solve
-    that chose them; cosine scoring always reads converged."""
-
-    indices: np.ndarray
-    converged: bool = True
-    residual: float = 0.0
 
 
 # (raw bag, prompt set, Pipeline.scoring) -> the Selection made from them
@@ -359,13 +346,12 @@ class Pipeline:
         mode, r, *solver = self.scoring
         prompts = self.prompts[level].prompts
         if mode == "transport":
-            result = match_bag(tokens, prompts, r, *solver)
-            chosen = Selection(result.selected, result.converged, result.residual)
+            chosen = match_bag(tokens, prompts, r, *solver)
         else:
             scores = (cosine_scores_multi if mode == "multi"
                       else cosine_scores_single)(tokens, prompts)
             chosen = Selection(select_top(scores, r))
-        chosen.indices.setflags(write=False)
+        chosen.selected.setflags(write=False)
         return chosen
 
     def _use(self, chosen: Selection, level: str) -> np.ndarray:
@@ -373,7 +359,7 @@ class Pipeline:
         if not chosen.converged:
             count, worst = self.unconverged.get(level, (0, 0.0))
             self.unconverged[level] = (count + 1, max(worst, chosen.residual))
-        return chosen.indices
+        return chosen.selected
 
     def _select(self, rec: PatientRecord, level: str) -> np.ndarray:
         """Selection on the patient's raw bag at `level`, solved once per memo."""

@@ -8,8 +8,6 @@ negative log-likelihood plus a weighted contrastive term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -17,14 +15,6 @@ from .autodiff import mean_logistic, neg_log_sum
 from .errors import ConfigError, ShapeError
 
 LOG_CLAMP = 1e-12
-
-
-@dataclass
-class HeadParams:
-    """Linear prediction layer: d -> T logits plus bias."""
-
-    weight: ad.Node  # d x T
-    bias: ad.Node    # 1 x T
 
 
 def fuse(selected_patch: np.ndarray, selected_region: np.ndarray | None) -> np.ndarray:
@@ -37,11 +27,12 @@ def fuse(selected_patch: np.ndarray, selected_region: np.ndarray | None) -> np.n
     return np.concatenate([selected_patch, selected_region])
 
 
-def hazards(tokens: ad.Node, head: HeadParams, prefix=None) -> ad.Node:
+def hazards(tokens: ad.Node, head: tuple, prefix=None) -> ad.Node:
     """Per-bin hazard probabilities: sigmoid(linear(mean-pooled tokens)).
+    `head` is (weight, bias), d x T and 1 x T, in `mean_logistic`'s order.
     `prefix` is None or (row sum, count) of constant rows stacked above the
     tokens (see `autodiff.mean_logistic`)."""
-    return mean_logistic(tokens, head.weight, head.bias, prefix)
+    return mean_logistic(tokens, *head, prefix)
 
 
 def survival_curve(h: ad.Node) -> ad.Node:
@@ -78,7 +69,7 @@ def risk_score(s_values: np.ndarray) -> float:
 
 def total_loss(l_sur: ad.Node, l_con: ad.Node | None, lam: float) -> ad.Node:
     """l_sur + lam * l_con; the contrastive term drops out entirely at
-    lam = 0 or when absent."""
+    lam = 0 or when absent (None, as on a cold start)."""
     if l_con is None or lam == 0.0:
         return l_sur
     return ad.add(l_sur, ad.scale(l_con, lam))

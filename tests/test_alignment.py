@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from promptsurv.alignment import (
-    MatchingResult,
+    Selection,
     TransportProblem,
     alignment_score,
     cosine_cost,
@@ -307,14 +307,21 @@ class TestPlantedSignalRecovery:
     def test_match_bag_invariants(self):
         spec = SynthSpec(n_patients=2, seed=3)
         records, prompts, _ = generate_synthetic(spec)
-        result = match_bag(records[0].patch_bag.tokens, prompts[PATCH].prompts, r=0.6)
-        assert isinstance(result, MatchingResult)
-        m, n = result.plan.shape
-        assert np.abs(result.plan.sum(axis=1) - 1.0 / m).max() <= 1e-6
-        assert np.abs(result.plan.sum(axis=0) - 1.0 / n).max() <= 1e-6
-        assert result.probability.sum(axis=0) == pytest.approx(np.ones(n), abs=1e-12)
-        assert result.score.sum() == pytest.approx(float(n), abs=1e-10)
+        tokens, prompt_rows = records[0].patch_bag.tokens, prompts[PATCH].prompts
+        result = match_bag(tokens, prompt_rows, r=0.6)
+        assert isinstance(result, Selection)
+        solved = sinkhorn(TransportProblem.uniform(cosine_cost(tokens, prompt_rows)))
+        plan = solved.plan
+        probability = matching_probability(plan)
+        score = alignment_score(probability)
+        m, n = plan.shape
+        assert np.abs(plan.sum(axis=1) - 1.0 / m).max() <= 1e-6
+        assert np.abs(plan.sum(axis=0) - 1.0 / n).max() <= 1e-6
+        assert probability.sum(axis=0) == pytest.approx(np.ones(n), abs=1e-12)
+        assert score.sum() == pytest.approx(float(n), abs=1e-10)
+        assert np.array_equal(result.selected, select_top(score, 0.6))
         assert result.selected.size == max(1, int(np.ceil(m * 0.6)))
+        assert (result.converged, result.residual) == (solved.converged, solved.residual)
 
 
 class TestCosineScores:

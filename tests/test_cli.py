@@ -3,11 +3,12 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from conftest import build_cohort, run_without_scipy
 from promptsurv.cli import build_parser, main
-from promptsurv.data import write_cohort
+from promptsurv.data import read_matrix, write_cohort, write_matrix
 from promptsurv.pipeline import TrainConfig
 
 
@@ -213,6 +214,14 @@ class TestTrainAndCv:
         assert run(["cv", "--manifest", cohort_dir / "manifest.json",
                     "--out", tmp_path / "o"]) == 3
         assert f"bad header in {patch}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["G", "A"])
+    def test_matrices_without_columns_exit_code(self, cohort_dir, tmp_path, capsys, variant):
+        for path in cohort_dir.glob("*.mat"):
+            write_matrix(path, np.zeros((read_matrix(path).shape[0], 0)))
+        assert run(["cv", "--manifest", cohort_dir / "manifest.json", "--variant", variant,
+                    "--out", tmp_path / "o"]) == 3
+        assert f"matrix in {cohort_dir / 'prompts_patch.mat'}" in capsys.readouterr().err
 
     def test_matrix_header_outside_the_parent_map_grammar_exit_code(self, cohort_dir,
                                                                    tmp_path, capsys):

@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 import ad_chain as ad
-from promptsurv.contrast import (
-    MemoryQueue,
-    Prototype,
-    contrastive_loss,
-    make_prototype,
-    mutual_contrastive_loss,
-    prototype_node,
-)
+from promptsurv.contrast import MemoryQueue, Prototype, make_prototype, mutual_contrastive_loss
 from promptsurv.errors import DegenerateInputError, ShapeError
 
 
@@ -28,25 +21,25 @@ def proto_of(vec, pid="x"):
 class TestPrototype:
     def test_single_token_is_normalized(self):
         v = np.array([[3.0, 4.0]])
-        node = prototype_node(ad.constant(v))
+        node = ad.normalized_col_sum(ad.constant(v))
         assert node.value == pytest.approx(np.array([[0.6, 0.8]]), abs=1e-15)
 
     def test_opposite_tokens_are_degenerate(self):
         tokens = np.array([[1.0, -2.0], [-1.0, 2.0]])
         with pytest.raises(DegenerateInputError):
-            prototype_node(ad.constant(tokens))
+            ad.normalized_col_sum(ad.constant(tokens))
 
     def test_unnormalized_sum_equals_column_sums_oracle(self):
         rng = np.random.default_rng(0)
         tokens = rng.normal(size=(7, 5))
-        node = prototype_node(ad.constant(tokens))
+        node = ad.normalized_col_sum(ad.constant(tokens))
         oracle = tokens.sum(axis=0)
         oracle /= np.linalg.norm(oracle)
         assert node.value[0] == pytest.approx(oracle, abs=1e-12)
 
     def test_unit_norm(self):
         rng = np.random.default_rng(1)
-        node = prototype_node(ad.constant(rng.normal(size=(4, 6))))
+        node = ad.normalized_col_sum(ad.constant(rng.normal(size=(4, 6))))
         assert np.linalg.norm(node.value) == pytest.approx(1.0, abs=1e-12)
 
     def test_make_prototype_detaches(self):
@@ -62,7 +55,7 @@ class TestPrototype:
         weights = rng.normal(size=(1, 4))
 
         def f(params):
-            return ad.sum_all(ad.mul(prototype_node(params[0]),
+            return ad.sum_all(ad.mul(ad.normalized_col_sum(params[0]),
                                      ad.constant(weights)))
 
         assert ad.grad_check(f, [tokens], h=1e-5) <= 1e-6
@@ -112,14 +105,14 @@ class TestContrastiveLoss:
         anchor = ad.constant([[1.0, 0.0]])
         positive = ad.constant([[1.0, 0.0]])
         negatives = np.array([[1.0, 0.0]])  # same dot as the positive
-        loss = contrastive_loss(anchor, positive, negatives)
+        loss = ad.contrastive(anchor, positive, negatives, 1.0)
         assert loss.value[0, 0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hand_value_opposite_negative(self):
         anchor = ad.constant([[1.0, 0.0]])
         positive = ad.constant([[1.0, 0.0]])     # dot +1
         negatives = np.array([[-1.0, 0.0]])      # dot -1
-        loss = contrastive_loss(anchor, positive, negatives)
+        loss = ad.contrastive(anchor, positive, negatives, 1.0)
         expected = -math.log(math.e / (math.e + math.exp(-1.0)))
         assert loss.value[0, 0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.1269, abs=1e-4)
@@ -129,12 +122,25 @@ class TestContrastiveLoss:
         positive = ad.constant([[0.0, 1.0]])
         for k in (1, 3, 7):
             negatives = np.tile([0.0, 1.0], (k, 1))
-            loss = contrastive_loss(anchor, positive, negatives)
+            loss = ad.contrastive(anchor, positive, negatives, 1.0)
             assert loss.value[0, 0] == pytest.approx(math.log(1.0 + k), abs=1e-12)
 
     def test_empty_negatives_skipped(self):
-        anchor = ad.constant([[1.0, 0.0]])
-        assert contrastive_loss(anchor, anchor, np.zeros((0, 0))) is None
+        # a direction whose queue holds no other patient adds no term
+        rng = np.random.default_rng(11)
+        f_p, f_r = (ad.constant([unit(rng.normal(size=3))]) for _ in range(2))
+        other, own = unit(rng.normal(size=3)), unit(rng.normal(size=3))
+        for other_in in ("patch", "region"):
+            queues = {"patch": MemoryQueue(5), "region": MemoryQueue(5)}
+            for level, queue in queues.items():
+                queue.push(Prototype(own.copy(), "p0"))
+                if level == other_in:
+                    queue.push(Prototype(other.copy(), "other"))
+            loss = mutual_contrastive_loss(f_p, f_r, queues["patch"], queues["region"], "p0")
+            # a region-queue negative serves the patch anchor, and vice versa
+            anchor, positive = (f_p, f_r) if other_in == "region" else (f_r, f_p)
+            single = ad.contrastive(anchor, positive, other[None, :], 1.0)
+            assert loss.value.tobytes() == single.value.tobytes()
 
     def test_loss_nonnegative_and_decreasing_in_pos_similarity(self):
         rng = np.random.default_rng(4)
@@ -143,8 +149,8 @@ class TestContrastiveLoss:
         previous = np.inf
         for angle in (0.9 * np.pi, 0.5 * np.pi, 0.1 * np.pi, 0.0):
             pos_v = np.array([np.cos(angle), np.sin(angle), 0.0])
-            loss = contrastive_loss(ad.constant([anchor_v]), ad.constant([pos_v]),
-                                    negatives)
+            loss = ad.contrastive(ad.constant([anchor_v]), ad.constant([pos_v]),
+                                  negatives, 1.0)
             assert loss.value[0, 0] >= 0.0
             assert loss.value[0, 0] < previous
             previous = loss.value[0, 0]
@@ -155,7 +161,7 @@ class TestContrastiveLoss:
         positive = ad.parameter([unit(rng.normal(size=4))])
         negatives = np.stack([unit(rng.normal(size=4)) for _ in range(3)])
         stored = negatives.copy()
-        loss = contrastive_loss(anchor, positive, negatives)
+        loss = ad.contrastive(anchor, positive, negatives, 1.0)
         loss.backward()
         assert anchor.grad is not None and np.any(anchor.grad != 0.0)
         assert positive.grad is not None and np.any(positive.grad != 0.0)
@@ -166,8 +172,13 @@ class TestMutualContrastiveLoss:
     def test_zero_when_both_queues_empty(self):
         f_p = ad.constant([[1.0, 0.0]])
         f_r = ad.constant([[0.0, 1.0]])
-        loss = mutual_contrastive_loss(f_p, f_r, MemoryQueue(5), MemoryQueue(5), "p0")
-        assert loss.value[0, 0] == 0.0
+        # cold start: no term at all, which total_loss drops
+        assert mutual_contrastive_loss(f_p, f_r, MemoryQueue(5), MemoryQueue(5), "p0") is None
+        q_p, q_r = MemoryQueue(5), MemoryQueue(5)
+        q_p.push(Prototype(unit([1.0, 1.0]), "p0"))
+        q_r.push(Prototype(unit([1.0, -1.0]), "p0"))
+        # the patient's own queued prototypes are no negatives
+        assert mutual_contrastive_loss(f_p, f_r, q_p, q_r, "p0") is None
 
     def test_symmetric_setup_doubles_single_direction(self):
         v = unit([1.0, 2.0])
@@ -179,7 +190,7 @@ class TestMutualContrastiveLoss:
         q_p.push(Prototype(vector=neg.copy(), patient_id="other"))
         q_r.push(Prototype(vector=neg.copy(), patient_id="other"))
         both = mutual_contrastive_loss(f_p, f_r, q_p, q_r, "p0")
-        single = contrastive_loss(f_p, f_r, neg[None, :])
+        single = ad.contrastive(f_p, f_r, neg[None, :], 1.0)
         assert both.value[0, 0] == pytest.approx(2.0 * single.value[0, 0], abs=1e-12)
 
     def test_random_instance_matches_compositional_oracle(self):
@@ -251,7 +262,7 @@ class TestQueueStorage:
             if copy_negatives:
                 negatives = negatives.copy()
             anchor, positive = ad.parameter([anchor_v]), ad.parameter([positive_v])
-            loss = contrastive_loss(anchor, positive, negatives)
+            loss = ad.contrastive(anchor, positive, negatives, 1.0)
             q.push(Prototype(mine.copy(), "me"))
             loss.backward()
             return anchor.grad, positive.grad

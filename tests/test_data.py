@@ -164,6 +164,18 @@ class TestCohortIO:
         with pytest.raises(DataValidationError, match="out of range"):
             load_cohort(manifest)
 
+    @pytest.mark.parametrize("name, shape", [("*.mat", "x0"), ("p0000_region.mat", "0x")])
+    def test_matrix_without_entries_rejected(self, tmp_path, name, shape):
+        records, prompts, _ = generate_synthetic(small_spec(n_patients=1))
+        manifest = write_cohort(records, prompts, tmp_path)
+        # with every matrix emptied alike, no dimension check tells them apart
+        for path in tmp_path.glob(name):
+            rows, cols = read_matrix(path).shape
+            write_matrix(path, np.zeros((rows, 0) if shape == "x0" else (0, cols)))
+        first = "prompts_patch.mat" if name == "*.mat" else name
+        with pytest.raises(DataValidationError, match=rf"empty \d+x\d+ matrix in .*{first}"):
+            load_cohort(manifest)
+
     def test_nonfinite_entry_rejected(self, tmp_path):
         records, prompts, _ = generate_synthetic(small_spec(n_patients=1))
         manifest = write_cohort(records, prompts, tmp_path)
@@ -643,6 +655,13 @@ class TestValidation:
     def test_bag_parent_length_must_match(self):
         with pytest.raises(DataValidationError, match="parent"):
             FeatureBag(PATCH, np.ones((3, 2)), [0, 1])
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+    def test_bags_and_prompt_sets_need_entries(self, shape):
+        for make in (lambda: FeatureBag(PATCH, np.zeros(shape)),
+                     lambda: PromptSet(REGION, np.zeros(shape))):
+            with pytest.raises(DataValidationError, match="nonempty matrix"):
+                make()
 
     def test_bags_and_prompt_sets_compare_by_identity(self):
         # a field-wise comparison would ask numpy for the truth of an array

@@ -3,32 +3,22 @@ import pytest
 
 import ad_chain as ad
 from promptsurv.errors import DataValidationError, ShapeError
-from promptsurv.fusion import GateParams, gate_fuse, pool_to_regions, row_sum
+from promptsurv.fusion import gate_fuse, pool_to_regions, row_sum
 
 
-def make_gate(d, fill=0.0, gate_bias=0.0):
-    def param(shape, value):
-        return ad.parameter(np.full(shape, value))
+# the gate's parameter shapes in gate_blend's order: w_gate, b_gate, w_patch,
+# b_patch, w_region, b_region
+def gate_shapes(d):
+    return [(2 * d, d), (1, d), (d, d), (1, d), (d, d), (1, d)]
 
-    return GateParams(
-        w_gate=param((2 * d, d), fill),
-        b_gate=param((1, d), gate_bias),
-        w_patch=param((d, d), fill),
-        b_patch=param((1, d), fill),
-        w_region=param((d, d), fill),
-        b_region=param((1, d), fill),
-    )
+
+def make_gate(d, fill=0.0):
+    return tuple(ad.parameter(np.full(shape, fill)) for shape in gate_shapes(d))
 
 
 def random_gate(d, rng):
-    def param(shape):
-        return ad.parameter(rng.normal(scale=0.5, size=shape))
-
-    return GateParams(
-        w_gate=param((2 * d, d)), b_gate=param((1, d)),
-        w_patch=param((d, d)), b_patch=param((1, d)),
-        w_region=param((d, d)), b_region=param((1, d)),
-    )
+    return tuple(ad.parameter(rng.normal(scale=0.5, size=shape))
+                 for shape in gate_shapes(d))
 
 
 class TestPoolToRegions:
@@ -131,11 +121,11 @@ class TestGateFuse:
         pooled_values = rng.normal(size=(2, d))
         pooled = ad.constant(pooled_values)
         regions = ad.constant(rng.normal(size=(2, d)))
-        params = random_gate(d, np.random.default_rng(2))
-        params.b_gate = ad.parameter(np.full((1, d), 30.0))
-        params.w_gate = ad.parameter(np.zeros((2 * d, d)))
-        out = gate_fuse(pooled, regions, params)
-        expected = ad.linear(ad.constant(pooled_values), params.w_patch, params.b_patch)
+        _, _, w_patch, b_patch, w_region, b_region = random_gate(d, np.random.default_rng(2))
+        gate = (ad.parameter(np.zeros((2 * d, d))), ad.parameter(np.full((1, d), 30.0)),
+                w_patch, b_patch, w_region, b_region)
+        out = gate_fuse(pooled, regions, gate)
+        expected = ad.linear(ad.constant(pooled_values), w_patch, b_patch)
         assert out.value == pytest.approx(np.tanh(expected.value), abs=1e-12)
 
     def test_saturated_negative_gate_selects_region_stream(self):
@@ -144,11 +134,11 @@ class TestGateFuse:
         region_values = rng.normal(size=(2, d))
         pooled = ad.constant(rng.normal(size=(2, d)))
         regions = ad.constant(region_values)
-        params = random_gate(d, np.random.default_rng(5))
-        params.b_gate = ad.parameter(np.full((1, d), -30.0))
-        params.w_gate = ad.parameter(np.zeros((2 * d, d)))
-        out = gate_fuse(pooled, regions, params)
-        expected = ad.linear(ad.constant(region_values), params.w_region, params.b_region)
+        _, _, w_patch, b_patch, w_region, b_region = random_gate(d, np.random.default_rng(5))
+        gate = (ad.parameter(np.zeros((2 * d, d))), ad.parameter(np.full((1, d), -30.0)),
+                w_patch, b_patch, w_region, b_region)
+        out = gate_fuse(pooled, regions, gate)
+        expected = ad.linear(ad.constant(region_values), w_region, b_region)
         assert out.value == pytest.approx(np.tanh(expected.value), abs=1e-12)
 
     def test_output_strictly_inside_unit_interval(self):
@@ -164,15 +154,13 @@ class TestGateFuse:
         rng = np.random.default_rng(7)
         pooled = rng.normal(size=(2, d))
         regions = rng.normal(size=(2, d))
-        params = random_gate(d, rng)
-        names = ["w_gate", "b_gate", "w_patch", "b_patch", "w_region", "b_region"]
-        nodes = [getattr(params, n) for n in names]
+        gate = random_gate(d, rng)
 
         def f(nodes_in):
             return ad.sum_all(gate_fuse(ad.constant(pooled), ad.constant(regions),
-                                        params))
+                                        gate))
 
-        err = ad.grad_check(f, nodes, h=1e-5)
+        err = ad.grad_check(f, list(gate), h=1e-5)
         assert err <= 1e-4
 
     def test_shape_mismatch(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promptsurv import autodiff as ad
+from promptsurv import autodiff as ad, optim
 from promptsurv.errors import ShapeError, TrainingError
 from promptsurv.optim import AdamState
 
@@ -30,9 +30,7 @@ def test_zero_gradient_leaves_params_unchanged():
 def test_default_hyperparameters():
     adam = AdamState({}, )
     assert adam.lr == 2e-4
-    assert adam.beta1 == 0.9
-    assert adam.beta2 == 0.999
-    assert adam.eps == 1e-8
+    assert (optim.BETA1, optim.BETA2, optim.EPS) == (0.9, 0.999, 1e-8)
 
 
 def test_step_counter_strictly_increases():

@@ -288,7 +288,7 @@ class TestTraining:
         records, prompts, _ = small_cohort
         cfg = fast_cfg(epochs=1)
         model = Pipeline(prompts, records[0].patch_bag.dim, cfg)
-        model.head.bias.value[:] = np.nan
+        model.params["head.bias"].value[:] = np.nan
         with pytest.raises(TrainingError, match="epoch 0"):
             model.train(records[:3])
 
@@ -329,6 +329,27 @@ class TestTraining:
                     loss = model.patient_loss(case, update_queues=False)
                     sizes.append(len(ad._toposort(loss)))
         assert max(sizes) <= 22
+
+    def test_first_step_of_a_fold_trains_on_the_nll_alone(self, small_cohort):
+        # both queues start empty, so MCL has no negatives: the loss is the
+        # NLL node itself, with no contrastive, add or scale node
+        records, prompts, _ = small_cohort
+        model = pipeline.Pipeline(prompts, records[0].patch_bag.dim, fast_cfg())
+        assert len(model.queue_patch) == len(model.queue_region) == 0
+
+        def op_names(loss):
+            return {node._backward.__qualname__.split(".")[0]
+                    for node in ad._toposort(loss) if node._backward is not None}
+
+        first = records[0]
+        h = model.forward(first)[0]
+        nll = survival.nll_loss(h, survival.survival_curve(h), first.censor, first.time_bin)
+        loss = model.patient_loss(first)
+        assert loss.value.tobytes() == nll.value.tobytes()
+        assert len(ad._toposort(loss)) == len(ad._toposort(nll))
+        assert not op_names(loss) & {"contrastive", "add", "scale"}
+        # the queues now hold the first patient, so the next one contrasts
+        assert {"contrastive", "add", "scale"} <= op_names(model.patient_loss(records[1]))
 
     @pytest.mark.parametrize("variant", ["A", "G"])
     def test_fused_module_ops_train_like_their_chains(self, small_cohort, monkeypatch,

@@ -6,7 +6,6 @@ import pytest
 import ad_chain as ad
 from promptsurv.errors import ConfigError, ShapeError
 from promptsurv.survival import (
-    HeadParams,
     fuse,
     hazards,
     nll_loss,
@@ -18,8 +17,8 @@ from promptsurv.survival import (
 
 
 def head_of(weight, bias):
-    return HeadParams(weight=ad.parameter(np.asarray(weight, dtype=float)),
-                      bias=ad.parameter(np.asarray(bias, dtype=float)))
+    return (ad.parameter(np.asarray(weight, dtype=float)),
+            ad.parameter(np.asarray(bias, dtype=float)))
 
 
 def hazard_node(values):
@@ -69,7 +68,7 @@ class TestHazards:
             s = survival_curve(h)
             return nll_loss(h, s, censor=0, time_bin=2)
 
-        err = ad.grad_check(f, [head.weight, head.bias], h=1e-5)
+        err = ad.grad_check(f, list(head), h=1e-5)
         assert err <= 1e-4
 
 
