@@ -77,6 +77,21 @@ def concordance_index(patients: list[RiskedPatient]) -> float:
     return concordant / comparable
 
 
+def _event_table(times: np.ndarray, events: np.ndarray, at: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(at risk, events) at each of the ascending times `at`. At risk counts
+    time >= t, so a subject censored at t is at risk for the events at t."""
+    died = np.sort(times[events])
+    return (times.size - np.searchsorted(np.sort(times), at, side="left"),
+            np.searchsorted(died, at, side="right") - np.searchsorted(died, at, side="left"))
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., left to right: `np.sum` adds in
+    pairs, and builtin `sum` compensates on Python 3.12, so both move bits."""
+    return float(np.add.accumulate(np.append(0.0, terms))[-1])
+
+
 def kaplan_meier(patients: list[RiskedPatient]) -> KMCurve:
     """Product-limit estimator over the distinct observed event times."""
     if not patients:
@@ -84,22 +99,12 @@ def kaplan_meier(patients: list[RiskedPatient]) -> KMCurve:
     times = np.array([p.time for p in patients])
     events = np.array([p.censor == 0 for p in patients])
     event_times = np.unique(times[events])
-    surv = []
-    at_risk = []
-    died = []
-    s = 1.0
-    for t in event_times:
-        n = int(np.sum(times >= t))
-        d = int(np.sum(events & (times == t)))
-        s *= 1.0 - d / n
-        at_risk.append(n)
-        died.append(d)
-        surv.append(s)
+    at_risk, died = _event_table(times, events, event_times)
     return KMCurve(
         times=event_times.astype(np.float64),
-        survival=np.array(surv, dtype=np.float64),
-        at_risk=np.array(at_risk, dtype=np.int64),
-        events=np.array(died, dtype=np.int64),
+        survival=np.cumprod(1.0 - died / at_risk),
+        at_risk=at_risk,
+        events=died,
     )
 
 
@@ -109,32 +114,27 @@ def logrank_test(group_a: list[RiskedPatient],
 
     chi^2 = (sum(O_a - E_a))^2 / sum(V) over distinct pooled event times,
     with the usual hypergeometric variance; p from the chi-square survival
-    function with one degree of freedom.
+    function with one degree of freedom. A time with one subject at risk
+    adds no term.
     """
     if not group_a or not group_b:
         raise MetricError("logrank_test needs two nonempty groups")
-    times_a = np.array([p.time for p in group_a])
-    times_b = np.array([p.time for p in group_b])
-    ev_a = np.array([p.censor == 0 for p in group_a])
-    ev_b = np.array([p.censor == 0 for p in group_b])
-    if not (ev_a.any() or ev_b.any()):
+    pooled = [*group_a, *group_b]
+    times = np.array([p.time for p in pooled])
+    events = np.array([p.censor == 0 for p in pooled])
+    if not events.any():
         raise MetricError("logrank_test needs at least one event")
 
-    event_times = np.unique(np.concatenate([times_a[ev_a], times_b[ev_b]]))
-    observed_minus_expected = 0.0
-    variance = 0.0
-    for t in event_times:
-        n_a = int(np.sum(times_a >= t))
-        n_b = int(np.sum(times_b >= t))
-        d_a = int(np.sum(ev_a & (times_a == t)))
-        d_b = int(np.sum(ev_b & (times_b == t)))
-        n = n_a + n_b
-        d = d_a + d_b
-        if n < 2 or d == 0:
-            continue
-        expected_a = d * n_a / n
-        observed_minus_expected += d_a - expected_a
-        variance += d * (n_a / n) * (n_b / n) * (n - d) / (n - 1)
+    event_times = np.unique(times[events])
+    n, d = _event_table(times, events, event_times)
+    size_a = len(group_a)
+    n_a, d_a = _event_table(times[:size_a], events[:size_a], event_times)
+    informative = n >= 2
+    n, d, n_a, d_a = n[informative], d[informative], n_a[informative], d_a[informative]
+    n_b = n - n_a
+    expected_a = d * n_a / n
+    observed_minus_expected = _sum_in_order(d_a - expected_a)
+    variance = _sum_in_order(d * (n_a / n) * (n_b / n) * (n - d) / (n - 1))
     if variance == 0.0:
         raise DegenerateInputError("logrank_test: zero variance (no informative times)")
     chi_square = observed_minus_expected ** 2 / variance
@@ -164,12 +164,7 @@ def stratify_median(patients: list[RiskedPatient]
     """
     if len(patients) < 2:
         raise MetricError("stratify_median needs at least 2 patients")
-    risks = np.sort([p.risk for p in patients])
-    mid = len(risks) // 2
-    if len(risks) % 2 == 0:
-        median = 0.5 * (risks[mid - 1] + risks[mid])
-    else:
-        median = risks[mid]
+    median = np.median([p.risk for p in patients])
     low = [p for p in patients if p.risk <= median]
     high = [p for p in patients if p.risk > median]
     if not high:

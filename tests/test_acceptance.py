@@ -5,6 +5,7 @@ lines; a pytest failure is the FAIL line for that criterion.
 """
 
 import math
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -211,6 +212,17 @@ def test_criterion_6_planted_signal_recovery(planted_run):
     note(6, f"full {summary_full['formatted']} vs baseline "
             f"{summary_base['formatted']}, gap "
             f"{mean_full - mean_base:.3f}, {elapsed:.0f}s")
+
+
+def test_readme_library_example_prints_the_planted_run_summary(planted_run):
+    # the README's library example cross-validates SynthSpec(seed=7), the
+    # fixture's cohort, with TrainConfig(seed=1, variant="G") over 5 folds;
+    # its memo only reuses exact selections
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    printed = re.search(r'print\(summary\["formatted"\]\) +# e\.g\. "(.+)"', readme)
+    assert printed, "README library example lost its printed summary"
+    summary_full, _, _ = planted_run
+    assert printed.group(1) == summary_full["formatted"]
 
 
 def test_criterion_7_cv_cli_byte_identical(tmp_path):

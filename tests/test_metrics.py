@@ -6,8 +6,9 @@ import pytest
 from scipy.stats import chi2
 
 from conftest import run_without_scipy
-from promptsurv.errors import DegenerateInputError, MetricError
+from promptsurv.errors import DegenerateInputError, MetricError, PromptsurvError
 from promptsurv.metrics import (
+    KMCurve,
     RiskedPatient,
     chi_square_p_value,
     concordance_index,
@@ -57,6 +58,89 @@ def ci_oracle(patients):
                 elif early.risk == late.risk:
                     weight += 0.5
     return weight / pairs
+
+
+def km_reference(patients):
+    """kaplan_meier as one rescan of every patient per distinct event time."""
+    if not patients:
+        raise MetricError("kaplan_meier needs at least one patient")
+    times = np.array([p.time for p in patients])
+    events = np.array([p.censor == 0 for p in patients])
+    event_times = np.unique(times[events])
+    surv = []
+    at_risk = []
+    died = []
+    s = 1.0
+    for t in event_times:
+        n = int(np.sum(times >= t))
+        d = int(np.sum(events & (times == t)))
+        s *= 1.0 - d / n
+        at_risk.append(n)
+        died.append(d)
+        surv.append(s)
+    return KMCurve(
+        times=event_times.astype(np.float64),
+        survival=np.array(surv, dtype=np.float64),
+        at_risk=np.array(at_risk, dtype=np.int64),
+        events=np.array(died, dtype=np.int64),
+    )
+
+
+def logrank_reference(group_a, group_b):
+    """logrank_test as one rescan of both groups per pooled event time."""
+    if not group_a or not group_b:
+        raise MetricError("logrank_test needs two nonempty groups")
+    times_a = np.array([p.time for p in group_a])
+    times_b = np.array([p.time for p in group_b])
+    ev_a = np.array([p.censor == 0 for p in group_a])
+    ev_b = np.array([p.censor == 0 for p in group_b])
+    if not (ev_a.any() or ev_b.any()):
+        raise MetricError("logrank_test needs at least one event")
+    event_times = np.unique(np.concatenate([times_a[ev_a], times_b[ev_b]]))
+    observed_minus_expected = 0.0
+    variance = 0.0
+    for t in event_times:
+        n_a = int(np.sum(times_a >= t))
+        n_b = int(np.sum(times_b >= t))
+        d_a = int(np.sum(ev_a & (times_a == t)))
+        d_b = int(np.sum(ev_b & (times_b == t)))
+        n = n_a + n_b
+        d = d_a + d_b
+        if n < 2 or d == 0:
+            continue
+        expected_a = d * n_a / n
+        observed_minus_expected += d_a - expected_a
+        variance += d * (n_a / n) * (n_b / n) * (n - d) / (n - 1)
+    if variance == 0.0:
+        raise DegenerateInputError("logrank_test: zero variance (no informative times)")
+    chi_square = observed_minus_expected ** 2 / variance
+    return float(chi_square), chi_square_p_value(chi_square)
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except PromptsurvError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def assert_same_bits(got, want):
+    if isinstance(want, KMCurve):
+        assert isinstance(got, KMCurve)
+        for field in ("times", "survival", "at_risk", "events"):
+            mine, ref = getattr(got, field), getattr(want, field)
+            assert mine.dtype == ref.dtype and np.array_equal(mine, ref), field
+    else:  # (chi^2, p) as Python floats, or the raised class and message
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert got == want
+
+
+def assert_matches_loops(group_a, group_b):
+    for group in (group_a, group_b, group_a + group_b):
+        assert_same_bits(outcome(kaplan_meier, group), outcome(km_reference, group))
+    assert_same_bits(outcome(logrank_test, group_a, group_b),
+                     outcome(logrank_reference, group_a, group_b))
 
 
 class TestRiskedPatient:
@@ -228,6 +312,50 @@ class TestLogrank:
     def test_empty_group_rejected(self):
         with pytest.raises(MetricError):
             logrank_test([], patients_from([0], [1.0], [0]))
+
+
+class TestEventTable:
+    """kaplan_meier and logrank_test count each risk set once, by sorted
+    search; every result keeps the bits of the per-time loops above."""
+
+    def test_random_cohorts_with_tied_times(self):
+        rng = np.random.default_rng(23)
+        for trial in range(400):
+            n = int(rng.integers(2, 30))
+            times = (rng.integers(1, 8, size=n) if trial % 2 else
+                     np.round(rng.uniform(0.1, 5.0, size=n), 1))
+            pats = patients_from(rng.normal(size=n), times,
+                                 rng.random(n) < rng.random())
+            split = int(rng.integers(1, n))
+            assert_matches_loops(pats[:split], pats[split:])
+
+    @pytest.mark.parametrize("group_a, group_b", [
+        # all censored: no curve, and a test with no event at all
+        (([0, 0], [3.0, 5.0], [1, 1]), ([0, 0], [2.0, 5.0], [1, 1])),
+        # one group all censored, the other with tied events
+        (([0, 0], [3.0, 5.0], [1, 1]), ([0, 0, 0], [2.0, 2.0, 4.0], [0, 0, 0])),
+        # single-patient groups: one shared event time, then two apart
+        (([0], [5.0], [0]), ([0], [5.0], [0])),
+        (([0], [1.0], [0]), ([0], [4.0], [0])),
+        (([0], [5.0], [0]), ([0], [1.0], [1])),
+        # the last event time has one subject at risk
+        (([0, 0, 0], [1.0, 2.0, 6.0], [0, 1, 0]), ([0, 0], [1.0, 3.0], [0, 0])),
+        # an event and a censoring at the same time
+        (([0, 0], [2.0, 2.0], [0, 1]), ([0, 0], [2.0, 3.0], [1, 0])),
+        # an empty group
+        (([], [], []), ([0], [1.0], [0])),
+    ])
+    def test_edge_cases(self, group_a, group_b):
+        assert_matches_loops(patients_from(*group_a), patients_from(*group_b))
+
+    def test_twenty_thousand_patient_median_split(self):
+        rng = np.random.default_rng(20000)
+        n = 20_000
+        pats = patients_from(rng.normal(size=n), np.round(rng.uniform(0.1, 50.0, size=n), 2),
+                             rng.random(n) < 0.3)
+        low, high = stratify_median(pats)
+        assert len(low) == len(high) == n // 2
+        assert_matches_loops(low, high)
 
 
 class TestStratifyMedian:
