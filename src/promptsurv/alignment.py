@@ -2,17 +2,20 @@
 
 Tokens are matched to a prompt set by solving an entropy-regularized
 transport problem on the cosine-distance cost matrix with Sinkhorn's matrix
-scaling. The transport plan is converted column-wise into matching
-probabilities, summed over the prompt dimension into a per-token alignment
-score, and the top-scoring fraction of tokens is kept.
+scaling. Each column of the plan becomes matching probabilities (a softmax
+of 1 - plan over the tokens), a token's alignment score sums them over the
+prompts, and the top-scoring fraction of tokens is kept.
 
-The solver scales the kernel exp(-cost/epsilon) and returns a plan whose row
-sums are exact to rounding. That matters because a token's score depends on
-its row sum at first order: at an exact plan every row sum is 1/M and only
-the much smaller second-order terms rank the tokens, so a row error the size
-of the solver tolerance would decide the selection on large bags. Where the
-kernel underflows (small epsilon) the same iterations run on log-domain
-potentials.
+The solver scales the kernel exp(-cost/epsilon) and returns a plan whose rows
+are exact to rounding. That matters because a token's score depends on its
+row sum at first order: at an exact plan every row sum is 1/M and only the
+much smaller second-order terms rank the tokens, so a row error the size of
+the solver tolerance would decide the selection on large bags. The score is
+ranked in its expm1 form, which keeps the precision that 1 - plan rounds
+away: at tol <= 1e-8 the selection does not depend on the tolerance, though
+at the default 1e-6 the plan itself can still move one token of a 2^18-token
+bag. Where the kernel underflows (small epsilon) the same iterations run on
+log-domain potentials.
 
 Scoring is a hard, non-differentiated mechanism: gradients never propagate
 through the solver or the scores, only through the values of the selected
@@ -184,17 +187,17 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def matching_probability(plan: np.ndarray) -> np.ndarray:
-    """Column-normalized exponentials of (1 - plan); every column sums to 1."""
-    shifted = 1.0 - plan
-    shifted -= shifted.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+def alignment_score(plan: np.ndarray) -> np.ndarray:
+    """Per-token alignment score, less a constant that every token shares.
 
-
-def alignment_score(probability: np.ndarray) -> np.ndarray:
-    """Per-token score: row sums of the matching probability (totals to N)."""
-    return probability.sum(axis=1)
+    The paper's score, the row sum of the column softmax of 1 - P, is
+    sum_j (1 + E_ij) / S_j with E = expm1(-P) and S_j = M + sum_k E_kj; this
+    drops the shared sum_j 1/S_j. expm1 keeps the relative precision of the
+    plan entries that rank tokens on large bags, and -P in [-1, 0] cannot
+    overflow.
+    """
+    e = np.expm1(-plan)
+    return e @ (1.0 / (plan.shape[0] + e.sum(axis=0)))
 
 
 def select_top(score: np.ndarray, r: float) -> np.ndarray:
@@ -217,12 +220,14 @@ def match_bag(tokens: np.ndarray, prompts: np.ndarray, r: float,
     """Full alignment of one token matrix against a prompt matrix.
 
     Transport scoring with uniform marginals, then top-r selection. Returns
-    the kept indices and the solve's health; the plan, probability and score
-    are what `sinkhorn`, `matching_probability` and `alignment_score` give.
+    the kept indices and the solve's health; the plan and the score are what
+    `sinkhorn` and `alignment_score` give. With exact plan rows and the expm1
+    score, the kept tokens do not depend on a tol <= 1e-8; at the default
+    1e-6 the plan can still move one token of a 2^18-token bag.
     """
     result = sinkhorn(TransportProblem.uniform(
         cosine_cost(tokens, prompts), epsilon=epsilon, max_iters=max_iters, tol=tol))
-    score = alignment_score(matching_probability(result.plan))
+    score = alignment_score(result.plan)
     return Selection(select_top(score, r), result.converged, result.residual)
 
 

@@ -34,17 +34,11 @@ def pool_to_regions(selected_tokens: np.ndarray, selected_indices: np.ndarray,
     if tokens.ndim != 2 or tokens.shape[0] != idx.size:
         raise ShapeError(f"{idx.size} selected indices for selected tokens of shape "
                          f"{tokens.shape}")
-    # each region's children as one run of rows, in selection order
-    order = np.argsort(owners, kind="stable")
-    rows = tokens[order]
-    ends = np.cumsum(np.bincount(owners, minlength=n_regions)).tolist()
-    pooled = np.zeros((n_regions, rows.shape[1]))
-    start = 0
-    for region, end in enumerate(ends):
-        if end > start:
-            pooled[region] += row_sum(rows[start:end])[0]
-        start = end
-    return pooled
+    # one bin per (region, channel), filled in input order
+    d = tokens.shape[1]
+    bins = owners[:, None] * d + np.arange(d)
+    return np.bincount(bins.ravel(), weights=tokens.ravel(),
+                       minlength=n_regions * d).reshape(n_regions, d)
 
 
 def gate_fuse(pooled: ad.Node, region_bag: ad.Node, gate: tuple) -> ad.Node:

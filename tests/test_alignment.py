@@ -11,11 +11,10 @@ from promptsurv.alignment import (
     cosine_scores_multi,
     cosine_scores_single,
     match_bag,
-    matching_probability,
     select_top,
     sinkhorn,
 )
-from promptsurv.data import PATCH, SynthSpec, generate_synthetic
+from promptsurv.data import PATCH, REGION, SynthSpec, generate_synthetic
 from promptsurv.errors import ConfigError, DegenerateInputError
 
 
@@ -57,6 +56,26 @@ def log_domain_reference_plan(cost, epsilon=0.1, tol=1e-13):
             return plan
         g = epsilon * (log_v - logsumexp(neg_cost + f[:, None] / epsilon, axis=0))
     raise AssertionError("reference Sinkhorn did not reach its tolerance")
+
+
+def paper_matching_probability(plan):
+    """The paper's chain, as the reference: a column softmax of 1 - plan,
+    shifted by each column's peak."""
+    shifted = 1.0 - plan
+    shifted -= shifted.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def paper_score(plan):
+    """The paper's per-token score: row sums of the matching probability."""
+    return paper_matching_probability(plan).sum(axis=1)
+
+
+def shared_constant(plan):
+    """sum_j 1/S_j with S_j = sum_k exp(-P_kj): what the paper's score adds
+    to every token on top of `alignment_score`."""
+    return (1.0 / np.exp(-plan).sum(axis=0)).sum()
 
 
 class TestCostMatrix:
@@ -173,7 +192,7 @@ class TestSinkhorn:
         for _ in range(20):
             tokens, prompts = rng.normal(size=(m, 16)), rng.normal(size=(8, 16))
             reference = log_domain_reference_plan(cosine_cost(tokens, prompts))
-            expected = select_top(alignment_score(matching_probability(reference)), 0.6)
+            expected = select_top(paper_score(reference), 0.6)
             assert np.array_equal(match_bag(tokens, prompts, r=0.6).selected, expected)
 
     @pytest.mark.parametrize("settings", [
@@ -218,38 +237,82 @@ class TestSinkhorn:
 
 
 class TestMatchingProbability:
+    """The reference chain that `alignment_score` is checked against."""
+
     def test_constant_column_is_uniform(self):
-        prob = matching_probability(np.full((4, 2), 0.125))
+        prob = paper_matching_probability(np.full((4, 2), 0.125))
         assert prob == pytest.approx(np.full((4, 2), 0.25), abs=1e-15)
 
     def test_hand_value_two_rows(self):
-        prob = matching_probability(np.array([[1.0], [0.0]]))
+        prob = paper_matching_probability(np.array([[1.0], [0.0]]))
         e = np.e
         assert prob == pytest.approx(np.array([[1 / (1 + e)], [e / (1 + e)]]),
                                      abs=1e-12)
 
     def test_columns_sum_to_one_random(self):
         rng = np.random.default_rng(4)
-        prob = matching_probability(rng.uniform(size=(10, 6)) / 10)
+        prob = paper_matching_probability(rng.uniform(size=(10, 6)) / 10)
         assert prob.sum(axis=0) == pytest.approx(np.ones(6), abs=1e-12)
+
+
+def random_plans():
+    """Seeded Sinkhorn plans on random tokens and prompts, small to large."""
+    rng = np.random.default_rng(8)
+    for m in (8, 128, 2048):
+        for _ in range(10):
+            cost = cosine_cost(rng.normal(size=(m, 16)), rng.normal(size=(8, 16)))
+            yield sinkhorn(TransportProblem.uniform(cost)).plan
+
+
+def planted_plans():
+    """Plans of the patch and region bags of a planted cohort."""
+    records, prompts, _ = generate_synthetic(SynthSpec(n_patients=6, seed=7))
+    for rec in records:
+        for bag, prompt_set in ((rec.patch_bag, prompts[PATCH]),
+                                (rec.region_bag, prompts[REGION])):
+            cost = cosine_cost(bag.tokens, prompt_set.prompts)
+            yield sinkhorn(TransportProblem.uniform(cost)).plan
 
 
 class TestAlignmentScore:
     def test_uniform_probability_splits_column_mass(self):
-        prob = np.full((2, 3), 0.5)
-        assert alignment_score(prob) == pytest.approx(np.array([1.5, 1.5]))
+        plan = np.full((2, 3), 1.0 / 6)
+        assert paper_score(plan) == pytest.approx(np.array([1.5, 1.5]), abs=1e-15)
+        score = alignment_score(plan)
+        assert score[0] == score[1]
+        assert score == pytest.approx(1.5 - shared_constant(plan), abs=1e-15)
 
-    def test_dominant_token_approaches_prompt_count(self):
-        prob = np.zeros((3, 4))
-        prob[1, :] = 1.0
-        score = alignment_score(prob)
-        assert score[1] == pytest.approx(4.0)
-        assert score[[0, 2]] == pytest.approx(np.zeros(2))
+    def test_concentrated_token_outranks_spread_tokens(self):
+        # row-exact: every token carries 1/3, token 0 on one prompt only
+        plan = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]) / 3
+        score = alignment_score(plan)
+        assert score[0] > score[1] == score[2]
+        assert score == pytest.approx(paper_score(plan) - shared_constant(plan),
+                                      abs=1e-15)
 
     def test_scores_sum_to_prompt_count(self):
         rng = np.random.default_rng(5)
-        prob = matching_probability(rng.uniform(size=(9, 5)) / 20)
-        assert alignment_score(prob).sum() == pytest.approx(5.0, abs=1e-10)
+        plan = rng.uniform(size=(9, 5)) / 20
+        assert paper_score(plan).sum() == pytest.approx(5.0, abs=1e-10)
+        assert alignment_score(plan).sum() == pytest.approx(
+            5.0 - 9 * shared_constant(plan), abs=1e-10)
+
+    def test_keeps_the_relative_precision_of_small_plan_entries(self):
+        # at P ~ 1e-12, expm1(-P) = -P + P^2/2 to far below float64 rounding;
+        # exp(-P) - 1 would keep only about 4 of its 16 digits
+        plan = np.random.default_rng(9).uniform(size=(64, 8)) * 1e-12
+        e = -plan + plan * plan / 2
+        reference = e @ (1.0 / (64 + e.sum(axis=0)))
+        error = np.abs(alignment_score(plan) - reference).max()
+        assert error <= 1e-12 * np.abs(reference).min()
+
+    @pytest.mark.parametrize("plans", [random_plans, planted_plans])
+    def test_is_the_paper_score_less_a_shared_constant(self, plans):
+        for plan in plans():
+            score, reference = alignment_score(plan), paper_score(plan)
+            assert np.abs(score - (reference - shared_constant(plan))).max() <= 1e-12
+            for r in (0.1, 0.6):
+                assert np.array_equal(select_top(score, r), select_top(reference, r))
 
 
 class TestSelectTop:
@@ -304,6 +367,19 @@ class TestPlantedSignalRecovery:
             assert result.converged
             assert np.array_equal(result.selected, np.flatnonzero(truth.patch_signal[i]))
 
+    def test_slide_scale_selection_does_not_depend_on_tol(self):
+        # M = 2^18 tokens at noise 1.0: the kept set's boundary margin is a few
+        # ulps, which a score formed from 1 - plan rounds away
+        spec = SynthSpec(n_patients=1, n_regions=8, patches_per_region=2**15,
+                         noise_sigma=1.0, seed=12)
+        records, prompts, _ = generate_synthetic(spec)
+        tokens, prompt_rows = records[0].patch_bag.tokens, prompts[PATCH].prompts
+        assert tokens.shape == (2**18, 32)
+        loose, tight = (match_bag(tokens, prompt_rows, r=spec.signal_fraction, tol=tol)
+                        for tol in (1e-8, 1e-12))
+        assert loose.converged and tight.converged
+        assert np.array_equal(loose.selected, tight.selected)
+
     def test_match_bag_invariants(self):
         spec = SynthSpec(n_patients=2, seed=3)
         records, prompts, _ = generate_synthetic(spec)
@@ -312,14 +388,13 @@ class TestPlantedSignalRecovery:
         assert isinstance(result, Selection)
         solved = sinkhorn(TransportProblem.uniform(cosine_cost(tokens, prompt_rows)))
         plan = solved.plan
-        probability = matching_probability(plan)
-        score = alignment_score(probability)
+        score = alignment_score(plan)
         m, n = plan.shape
         assert np.abs(plan.sum(axis=1) - 1.0 / m).max() <= 1e-6
         assert np.abs(plan.sum(axis=0) - 1.0 / n).max() <= 1e-6
-        assert probability.sum(axis=0) == pytest.approx(np.ones(n), abs=1e-12)
-        assert score.sum() == pytest.approx(float(n), abs=1e-10)
+        assert score.sum() == pytest.approx(n - m * shared_constant(plan), abs=1e-10)
         assert np.array_equal(result.selected, select_top(score, 0.6))
+        assert np.array_equal(result.selected, select_top(paper_score(plan), 0.6))
         assert result.selected.size == max(1, int(np.ceil(m * 0.6)))
         assert (result.converged, result.residual) == (solved.converged, solved.residual)
 
