@@ -6,7 +6,7 @@ Modules by responsibility:
   data      - token bags, prompt sets, cohort I/O, synthetic generator
   alignment - entropic-transport prompt alignment and token selection
   fusion    - cross-level pooling and the gated recalibration
-  contrast  - prototype queues and the mutual contrastive loss
+  contrast  - the prototype-pair queue and the mutual contrastive loss
   survival  - discrete-time hazard head, curves, and losses
   metrics   - concordance, Kaplan-Meier, log-rank, stratification
   pipeline  - training loop, cross-validation, ablation, reports

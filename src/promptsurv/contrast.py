@@ -1,14 +1,13 @@
 """Mutual contrastive learning across hierarchy levels.
 
 Each patient's selected tokens at one level collapse into a unit-norm
-prototype vector. FIFO queues keep the most recent B-1 prototypes per level
-as detached negatives; the loss pulls the two levels of the same patient
-together and pushes against queued prototypes of other patients.
+prototype vector. One FIFO queue keeps the (patch, region) prototype pairs of
+the most recent B-1 patients as detached negatives; the loss pulls the two
+levels of the same patient together and pushes each against the other
+level's queued prototypes of other patients.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,32 +16,21 @@ from .autodiff import normalized_col_sum
 from .errors import DegenerateInputError, ShapeError
 
 
-@dataclass
-class Prototype:
-    """Unit-norm summary vector of one patient's selected tokens."""
-
-    vector: np.ndarray  # length d
-    patient_id: str
-
-
-def make_prototype(selected: ad.Node, patient_id: str) -> tuple[ad.Node, Prototype]:
-    """Graph node plus the detached queue entry for the same prototype.
-
-    The node sums the selected tokens over the token dimension and
-    L2-normalizes, differentiably through both; a zero-sum token set (no
-    direction to normalize) raises.
-    """
-    node = normalized_col_sum(selected)
-    return node, Prototype(vector=node.value[0].copy(), patient_id=patient_id)
+def make_prototype(selected: ad.Node) -> ad.Node:
+    """Sum the selected tokens over the token dimension and L2-normalize,
+    differentiably through both; a zero-sum token set (no direction to
+    normalize) raises."""
+    return normalized_col_sum(selected)
 
 
 class MemoryQueue:
-    """FIFO buffer of detached prototypes with capacity B-1.
+    """FIFO buffer of detached entries with capacity B-1.
 
-    Pushing beyond capacity evicts strictly oldest-first. The vectors sit in
-    one (capacity x d) array, oldest first, sized by the first push into an
-    empty queue; no gradient ever reaches queue contents. Nothing clears a
-    queue: it persists across epochs, as MoCo's do (He et al., CVPR 2020).
+    Pushing beyond capacity evicts strictly oldest-first. The entries sit in
+    one (capacity, *entry shape) array, oldest first, sized by the first push
+    into an empty queue; every later entry must have that shape, and no
+    gradient ever reaches queue contents. Nothing clears a queue: it persists
+    across epochs, as MoCo's do (He et al., CVPR 2020).
     """
 
     def __init__(self, queue_length: int):
@@ -54,52 +42,49 @@ class MemoryQueue:
         self._ids: list[str] = []
         self._vectors = np.empty((self.capacity, 0))
 
-    def push(self, proto: Prototype):
+    def push(self, patient_id: str, vector: np.ndarray):
+        """Store a copy of `vector` as the patient's newest entry."""
         n = len(self._ids)
         if n == 0:
-            self._vectors = np.empty((self.capacity, *proto.vector.shape))
-        elif proto.vector.shape != self._vectors.shape[1:]:
-            raise ShapeError(f"prototype of shape {proto.vector.shape} pushed into a "
-                             f"queue of shape {self._vectors.shape[1:]} prototypes")
+            self._vectors = np.empty((self.capacity, *vector.shape))
+        elif vector.shape != self._vectors.shape[1:]:
+            raise ShapeError(f"entry of shape {vector.shape} pushed into a "
+                             f"queue of shape {self._vectors.shape[1:]} entries")
         if n == self.capacity:
             self._vectors[:-1] = self._vectors[1:]
             del self._ids[0]
             n -= 1
-        self._vectors[n] = proto.vector
-        self._ids.append(proto.patient_id)
+        self._vectors[n] = vector
+        self._ids.append(patient_id)
 
     def __len__(self):
         return len(self._ids)
 
-    def entries(self) -> list[Prototype]:
-        return [Prototype(vector=vector.copy(), patient_id=pid)
-                for pid, vector in zip(self._ids, self._vectors)]
+    def entries(self) -> list[tuple[str, np.ndarray]]:
+        """(patient id, copy of the entry) per queued patient, oldest first."""
+        return [(pid, vector.copy()) for pid, vector in zip(self._ids, self._vectors)]
 
     def negatives_for(self, patient_id: str) -> np.ndarray:
-        """The queued vectors of all other patients, oldest first (K x d), as
-        a copy: the loss keeps them, and a later push moves rows."""
+        """The queued entries of all other patients, oldest first, as a copy:
+        the loss keeps them, and a later push moves rows."""
         keep = [i for i, pid in enumerate(self._ids) if pid != patient_id]
-        if not keep:
-            return np.zeros((0, 0))
         return self._vectors[keep]
 
 
 def mutual_contrastive_loss(proto_patch: ad.Node, proto_region: ad.Node,
-             queue_patch: MemoryQueue, queue_region: MemoryQueue,
-             patient_id: str, temperature: float = 1.0) -> ad.Node | None:
-    """Symmetric two-direction loss against the opposite level's queue.
+                            queue: MemoryQueue, patient_id: str,
+                            temperature: float = 1.0) -> ad.Node | None:
+    """Symmetric two-direction loss against the opposite level's prototypes.
 
-    Patch anchors contrast against queued region prototypes and vice versa,
-    each direction -log( exp(a.p/t) / (exp(a.p/t) + sum_k exp(a.n_k/t)) ) with
-    raw dot products of unit-norm prototypes, differentiable w.r.t. anchor and
-    positive only. A direction whose queue holds no other patient is skipped;
-    when both are (cold start) the result is None.
+    `queue` holds (2, d) pairs, patch then region. The patch anchor contrasts
+    against the queued region prototypes and the region anchor against the
+    queued patch prototypes, each direction
+    -log( exp(a.p/t) / (exp(a.p/t) + sum_k exp(a.n_k/t)) ) with raw dot
+    products of unit-norm prototypes, differentiable w.r.t. anchor and
+    positive only. With no other patient queued (cold start) it is None.
     """
-    loss = None
-    for anchor, positive, queue in ((proto_patch, proto_region, queue_region),
-                                    (proto_region, proto_patch, queue_patch)):
-        negatives = queue.negatives_for(patient_id)
-        if negatives.size:
-            part = ad.contrastive(anchor, positive, negatives, temperature)
-            loss = part if loss is None else ad.add(loss, part)
-    return loss
+    negatives = queue.negatives_for(patient_id)
+    if not len(negatives):
+        return None
+    return ad.add(ad.contrastive(proto_patch, proto_region, negatives[:, 1], temperature),
+                  ad.contrastive(proto_region, proto_patch, negatives[:, 0], temperature))

@@ -517,8 +517,8 @@ def write_cohort(records, prompts, out_dir) -> Path:
 def require_unique_ids(ids, source):
     """Raise DataValidationError naming the first patient id seen twice.
 
-    Ids name the rows of the artifacts, and the contrastive queues tell a
-    patient's own past prototype from its negatives by id."""
+    Ids name the rows of the artifacts, and the contrastive queue tells a
+    patient's own past prototypes from its negatives by id."""
     seen = set()
     for pid in ids:
         if pid in seen:

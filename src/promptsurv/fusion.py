@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import _row_sum as row_sum, gate_blend  # row_sum: the head's in-order sum
+from .autodiff import gate_blend
 from .errors import DataValidationError, ShapeError
 
 

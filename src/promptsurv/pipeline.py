@@ -8,7 +8,7 @@ loss. Reduced variants A-G switch these stages off from the top down.
 
 Everything is driven by named RNG streams derived from (seed, fold, tag),
 so runs with identical seed, config, and cohort are bit-identical. Folds
-carry fully independent state (parameters, queues, streams) and could run
+carry fully independent state (parameters, queue, streams) and could run
 in parallel; within a fold, training is sequential because batch size is 1
 and the queue state is order-dependent. `cross_validate` holds one fold at
 a time: a fold's state is released before the next fold trains.
@@ -65,7 +65,7 @@ from .contrast import MemoryQueue, make_prototype, mutual_contrastive_loss
 from .data import (PATCH, REGION, FeatureBag, PatientRecord, PromptSet, read_settings,
                    require_unique_ids, write_json)
 from .errors import ConfigError, DegenerateInputError, MetricError, TrainingError
-from .fusion import gate_fuse, pool_to_regions, row_sum
+from .fusion import gate_fuse, pool_to_regions
 from .metrics import (
     KM_COLUMNS,
     KMCurve,
@@ -155,7 +155,7 @@ class TrainConfig:
     """Run configuration; defaults are the cited training settings.
 
     Two cited settings are fixed rather than fields: the batch size is 1 (one
-    patient per Adam step; `as_dict` records it), and MCL's queues persist
+    patient per Adam step; `as_dict` records it), and MCL's queue persists
     across epochs.
     """
 
@@ -299,12 +299,13 @@ class FoldReport:
 
 
 class Pipeline:
-    """Holds one fold's parameters, queues, and per-patient constants.
+    """Holds one fold's parameters, contrastive queue, and per-patient
+    constants.
 
     A patient's constants (see `_constants`) are built on first use in this
-    fold, keyed by the patient's id and bags. They are the constant inputs
-    of the model, in the shape its variant reads, and selected indices are
-    kept for the selection log. `memo` maps (raw bag, prompt set, scoring)
+    fold, keyed by the patient's bags. They are the constant inputs of the
+    model, in the shape its variant reads, and selected indices are kept for
+    the selection log. `memo` maps (raw bag, prompt set, scoring)
     to the selection alignment makes from them. No parameter reaches those
     selections, so one memo may serve every fold, variant and cohort. Only
     the indices are shared; everything built from them stays in this fold's
@@ -332,10 +333,10 @@ class Pipeline:
         self.adam = AdamState(self.params, lr=cfg.lr)
         # mutual contrastive learning runs on the gated path at lambda > 0
         self.mcl = self.switches.use_contrast and cfg.lam > 0.0
-        self.queue_patch = MemoryQueue(cfg.queue_length)
-        self.queue_region = MemoryQueue(cfg.queue_length)
+        # past patients' (patch, region) prototype pairs
+        self.queue = MemoryQueue(cfg.queue_length)
         self.memo = {} if memo is None else memo
-        self._cache: dict[tuple[str, FeatureBag, FeatureBag], tuple] = {}
+        self._cache: dict[tuple[FeatureBag, FeatureBag], tuple] = {}
         # level -> (selections used from non-converged solves, worst residual)
         self.unconverged: dict[str, tuple[int, float]] = {}
 
@@ -372,18 +373,16 @@ class Pipeline:
 
     def _constants(self, rec: PatientRecord) -> tuple:
         """What the model reads that no parameter reaches, built once per
-        patient id and pair of bags, in one of three shapes. A: the
-        patch bag, for the attention pooling. B-E: the column mean of the
-        head's token stack (the selected patch rows, then in E the selected
-        region rows), one row, since the whole stack is constant. F and G: the
-        head's prefix, the in-order row sum and count of the selected patch
-        rows; the patch evidence pooled into regions and the region bag, the
-        gate's inputs; and, while MCL runs, the patch prototype, built from the
-        same row sum. Last, (level, kept indices) per raw-bag selection, for
-        the selection log."""
-        # the id is keyed too, since the cached patch prototype carries it into
-        # the contrastive queues
-        key = (rec.patient_id, rec.patch_bag, rec.region_bag)
+        pair of bags, in one of three shapes. A: the patch bag, for the
+        attention pooling. B-E: the column mean of the head's token stack
+        (the selected patch rows, then in E the selected region rows), one
+        row, since the whole stack is constant. F and G: the head's prefix,
+        the in-order row sum and count of the selected patch rows; the patch
+        evidence pooled into regions and the region bag, the gate's inputs;
+        and, while MCL runs, the patch prototype, built from the same row sum.
+        Last, (level, kept indices) per raw-bag selection, for the selection
+        log."""
+        key = (rec.patch_bag, rec.region_bag)
         cached = self._cache.get(key)
         if cached is None:
             sw = self.switches
@@ -395,21 +394,21 @@ class Pipeline:
                 idx = self._select(rec, PATCH)
                 tokens, chosen = tokens[idx], ((PATCH, idx),)
             if sw.use_gate:
-                patch_sum = row_sum(tokens)
+                prefix = fuse(tokens, None)
                 if self.mcl:
-                    prototype = make_prototype(ad.constant(patch_sum), rec.patient_id)
+                    prototype = make_prototype(ad.constant(prefix[0]))
                 pooled = ad.constant(pool_to_regions(
                     tokens, idx, rec.patch_bag.parent_region, rec.region_bag.size))
                 region = ad.constant(rec.region_bag.tokens)
-                tokens, prefix = None, (patch_sum, idx.size)
+                tokens = None
             elif sw.use_selection:
                 region_rows = None
                 if sw.use_regions:
                     region_idx = self._select(rec, REGION)
                     chosen += ((REGION, region_idx),)
                     region_rows = rec.region_bag.tokens[region_idx]
-                stack = fuse(tokens, region_rows)
-                tokens = ad.constant(row_sum(stack) / len(stack))
+                total, count = fuse(tokens, region_rows)
+                tokens = ad.constant(total / count)
             cached = self._cache[key] = (tokens, prefix, pooled, prototype, region, chosen)
         return cached
 
@@ -425,8 +424,8 @@ class Pipeline:
     def forward(self, rec: PatientRecord):
         """Build the hazard graph for one patient.
 
-        Returns (hazard node, patch prototype as (node, queue entry) or None,
-        selected region node or None, (level, kept indices) per selection).
+        Returns (hazard node, patch prototype node or None, selected region
+        node or None, (level, kept indices) per selection).
         """
         tokens, prefix, pooled, patch_proto, region_node, chosen = self._constants(rec)
         if self.switches.use_gate:
@@ -439,31 +438,23 @@ class Pipeline:
             tokens = gated_attention(tokens, *self.attn)
         return hazards(tokens, self.head, prefix), patch_proto, region_node, chosen
 
-    def patient_loss(self, rec: PatientRecord, update_queues: bool = True) -> ad.Node:
-        """Total training loss node for one patient.
-
-        With update_queues (the training default) the patient's detached
-        prototypes are recorded after the loss is formed; without it the loss
-        is a pure function of the parameters and the current queue state,
-        which is what gradient verification needs.
-        """
+    def patient_loss(self, rec: PatientRecord) -> tuple[ad.Node, np.ndarray | None]:
+        """Total training loss node for one patient, and, while MCL runs, the
+        patient's detached (patch, region) prototype pair for the queue (else
+        None). The queue is read, never changed."""
         if rec.time_bin is None:
             raise ConfigError(f"patient {rec.patient_id} has no time_bin; "
                               "run the discretizer before training")
         h, patch_proto, region_node, _ = self.forward(rec)
         s = survival_curve(h)
         l_sur = nll_loss(h, s, rec.censor, rec.time_bin)
-        l_con = None
+        l_con = queued = None
         if patch_proto is not None:
-            proto_p_node, proto_p = patch_proto
-            proto_r_node, proto_r = make_prototype(region_node, rec.patient_id)
-            l_con = mutual_contrastive_loss(proto_p_node, proto_r_node,
-                             self.queue_patch, self.queue_region,
-                             rec.patient_id, self.cfg.temperature)
-            if update_queues:
-                self.queue_patch.push(proto_p)
-                self.queue_region.push(proto_r)
-        return total_loss(l_sur, l_con, self.cfg.lam)
+            region_proto = make_prototype(region_node)
+            l_con = mutual_contrastive_loss(patch_proto, region_proto, self.queue,
+                                            rec.patient_id, self.cfg.temperature)
+            queued = np.concatenate([patch_proto.value, region_proto.value])
+        return total_loss(l_sur, l_con, self.cfg.lam), queued
 
     def predict(self, rec: PatientRecord) -> tuple[float, list]:
         """Scalar risk for one patient and its selection log entries
@@ -483,7 +474,7 @@ class Pipeline:
             epoch_loss = 0.0
             for pos in order:
                 rec = records[pos]
-                loss = self.patient_loss(rec)
+                loss, queued = self.patient_loss(rec)
                 value = float(loss.value[0, 0])
                 if not np.isfinite(value):
                     raise TrainingError(
@@ -493,6 +484,8 @@ class Pipeline:
                 self.adam.zero_grad()
                 loss.backward()
                 self.adam.step()
+                if queued is not None:
+                    self.queue.push(rec.patient_id, queued)
                 epoch_loss += value
             trace.append(epoch_loss / len(records))
         return trace

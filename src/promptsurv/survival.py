@@ -11,20 +11,25 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import mean_logistic, neg_log_sum
+from .autodiff import _row_sum, mean_logistic, neg_log_sum
 from .errors import ConfigError, ShapeError
 
 LOG_CLAMP = 1e-12
 
 
-def fuse(selected_patch: np.ndarray, selected_region: np.ndarray | None) -> np.ndarray:
-    """Stack the selected patch and region tokens into one token set."""
-    if selected_region is None:
-        return selected_patch
-    if selected_patch.shape[1] != selected_region.shape[1]:
-        raise ShapeError(f"fuse column mismatch: {selected_patch.shape} vs "
-                         f"{selected_region.shape}")
-    return np.concatenate([selected_patch, selected_region])
+def fuse(selected_patch: np.ndarray,
+         selected_region: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """Stack the selected patch rows above the selected region rows (if any)
+    and return the stack's in-order row sum (1xD) and row count: the prefix
+    that `hazards` takes, or the numerator and denominator of a constant
+    stack's mean."""
+    stack = selected_patch
+    if selected_region is not None:
+        if selected_patch.shape[1] != selected_region.shape[1]:
+            raise ShapeError(f"fuse column mismatch: {selected_patch.shape} vs "
+                             f"{selected_region.shape}")
+        stack = np.concatenate([selected_patch, selected_region])
+    return _row_sum(stack), len(stack)
 
 
 def hazards(tokens: ad.Node, head: tuple, prefix=None) -> ad.Node:

@@ -17,7 +17,6 @@ from scipy.optimize import linprog
 from conftest import build_cohort, read_all_bytes
 import ad_chain as ad
 from promptsurv.cli import main as cli_main
-from promptsurv.contrast import Prototype
 from promptsurv.data import SynthSpec, discretize_times, generate_synthetic
 from promptsurv.alignment import TransportProblem, sinkhorn
 from promptsurv.metrics import (
@@ -77,15 +76,14 @@ def test_criterion_2_gradient_integrity_full_graph():
     cfg = TrainConfig(seed=2, n_bins=2, variant="G")
     model = Pipeline(prompts, d=8, cfg=cfg)
     rng = np.random.default_rng(5)
-    for i in range(3):  # non-empty queues so the contrastive term is active
-        for queue in (model.queue_patch, model.queue_region):
-            vec = rng.normal(size=8)
-            queue.push(Prototype(vec / np.linalg.norm(vec), f"queued{i}"))
+    for i in range(3):  # a non-empty queue so the contrastive term is active
+        vecs = rng.normal(size=(2, 8))  # one patch and one region prototype
+        model.queue.push(f"queued{i}", vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
 
     def f(_params):
         total = None
         for rec in records:
-            loss = model.patient_loss(rec, update_queues=False)
+            loss = model.patient_loss(rec)[0]
             total = loss if total is None else ad.add(total, loss)
         return total
 

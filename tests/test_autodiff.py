@@ -3,7 +3,7 @@ import pytest
 
 import ad_chain as ad
 from promptsurv.errors import DegenerateInputError, DomainError, EmptyInputError, ShapeError
-from promptsurv.fusion import row_sum
+from promptsurv.autodiff import _row_sum as row_sum
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

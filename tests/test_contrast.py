@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ad_chain as ad
-from promptsurv.contrast import MemoryQueue, Prototype, make_prototype, mutual_contrastive_loss
+from promptsurv.contrast import MemoryQueue, make_prototype, mutual_contrastive_loss
 from promptsurv.errors import DegenerateInputError, ShapeError
 
 
@@ -14,8 +14,9 @@ def unit(vec):
     return arr / np.linalg.norm(arr)
 
 
-def proto_of(vec, pid="x"):
-    return Prototype(vector=unit(vec), patient_id=pid)
+def pair(patch, region):
+    """One queue entry: the unit (patch, region) prototype pair, 2 x d."""
+    return np.stack([unit(patch), unit(region)])
 
 
 class TestPrototype:
@@ -42,13 +43,6 @@ class TestPrototype:
         node = ad.normalized_col_sum(ad.constant(rng.normal(size=(4, 6))))
         assert np.linalg.norm(node.value) == pytest.approx(1.0, abs=1e-12)
 
-    def test_make_prototype_detaches(self):
-        tokens = ad.parameter(np.array([[1.0, 0.0]]))
-        node, proto = make_prototype(tokens, "p1")
-        assert proto.patient_id == "p1"
-        proto.vector[0] = 99.0
-        assert node.value[0, 0] == 1.0  # detached copy
-
     def test_normalization_gradient(self):
         rng = np.random.default_rng(2)
         tokens = ad.parameter(rng.normal(size=(3, 4)))
@@ -64,36 +58,54 @@ class TestPrototype:
 class TestMemoryQueue:
     def test_push_into_empty(self):
         q = MemoryQueue(20)
-        q.push(proto_of([1.0, 0.0]))
+        q.push("x", unit([1.0, 0.0]))
         assert len(q) == 1
+
+    def test_push_copies_the_vector(self):
+        q = MemoryQueue(3)
+        vec = unit([1.0, 0.0])
+        q.push("p1", vec)
+        vec[0] = 99.0
+        ((pid, stored),) = q.entries()
+        assert pid == "p1"
+        assert stored[0] == 1.0  # the queue holds its own copy
+        stored[0] = 99.0
+        assert q.entries()[0][1][0] == 1.0  # and entries() hands out copies
 
     def test_capacity_is_b_minus_one(self):
         q = MemoryQueue(20)
         for i in range(19):
-            q.push(proto_of([1.0, float(i)], pid=f"p{i}"))
+            q.push(f"p{i}", unit([1.0, float(i)]))
         assert len(q) == 19
-        q.push(proto_of([1.0, 99.0], pid="p19"))
+        q.push("p19", unit([1.0, 99.0]))
         assert len(q) == 19
-        assert [p.patient_id for p in q.entries()][0] == "p1"  # oldest evicted
+        assert [pid for pid, _ in q.entries()][0] == "p1"  # oldest evicted
 
     def test_fifo_order_matches_deque_oracle(self):
         rng = np.random.default_rng(3)
         q = MemoryQueue(8)
         oracle = deque(maxlen=7)
         for i in range(100):
-            proto = proto_of(rng.normal(size=4), pid=f"p{i}")
-            q.push(proto)
-            oracle.append(proto.patient_id)
-            assert [p.patient_id for p in q.entries()] == list(oracle)
+            q.push(f"p{i}", unit(rng.normal(size=4)))
+            oracle.append(f"p{i}")
+            assert [pid for pid, _ in q.entries()] == list(oracle)
 
     def test_negatives_exclude_patient(self):
         q = MemoryQueue(5)
-        q.push(proto_of([1.0, 0.0], pid="a"))
-        q.push(proto_of([0.0, 1.0], pid="b"))
-        q.push(proto_of([1.0, 1.0], pid="a"))
+        q.push("a", unit([1.0, 0.0]))
+        q.push("b", unit([0.0, 1.0]))
+        q.push("a", unit([1.0, 1.0]))
         negs = q.negatives_for("a")
         assert negs.shape == (1, 2)
         assert negs[0] == pytest.approx(np.array([0.0, 1.0]))
+
+    def test_pairs_queue_as_one_entry(self):
+        q = MemoryQueue(5)
+        q.push("a", pair([1.0, 0.0], [0.0, 1.0]))
+        q.push("b", pair([0.0, 1.0], [1.0, 1.0]))
+        negs = q.negatives_for("a")
+        assert negs.shape == (1, 2, 2)
+        assert np.array_equal(negs[0], pair([0.0, 1.0], [1.0, 1.0]))
 
     def test_minimum_queue_length(self):
         with pytest.raises(DegenerateInputError):
@@ -124,23 +136,6 @@ class TestContrastiveLoss:
             negatives = np.tile([0.0, 1.0], (k, 1))
             loss = ad.contrastive(anchor, positive, negatives, 1.0)
             assert loss.value[0, 0] == pytest.approx(math.log(1.0 + k), abs=1e-12)
-
-    def test_empty_negatives_skipped(self):
-        # a direction whose queue holds no other patient adds no term
-        rng = np.random.default_rng(11)
-        f_p, f_r = (ad.constant([unit(rng.normal(size=3))]) for _ in range(2))
-        other, own = unit(rng.normal(size=3)), unit(rng.normal(size=3))
-        for other_in in ("patch", "region"):
-            queues = {"patch": MemoryQueue(5), "region": MemoryQueue(5)}
-            for level, queue in queues.items():
-                queue.push(Prototype(own.copy(), "p0"))
-                if level == other_in:
-                    queue.push(Prototype(other.copy(), "other"))
-            loss = mutual_contrastive_loss(f_p, f_r, queues["patch"], queues["region"], "p0")
-            # a region-queue negative serves the patch anchor, and vice versa
-            anchor, positive = (f_p, f_r) if other_in == "region" else (f_r, f_p)
-            single = ad.contrastive(anchor, positive, other[None, :], 1.0)
-            assert loss.value.tobytes() == single.value.tobytes()
 
     def test_loss_nonnegative_and_decreasing_in_pos_similarity(self):
         rng = np.random.default_rng(4)
@@ -173,23 +168,20 @@ class TestMutualContrastiveLoss:
         f_p = ad.constant([[1.0, 0.0]])
         f_r = ad.constant([[0.0, 1.0]])
         # cold start: no term at all, which total_loss drops
-        assert mutual_contrastive_loss(f_p, f_r, MemoryQueue(5), MemoryQueue(5), "p0") is None
-        q_p, q_r = MemoryQueue(5), MemoryQueue(5)
-        q_p.push(Prototype(unit([1.0, 1.0]), "p0"))
-        q_r.push(Prototype(unit([1.0, -1.0]), "p0"))
+        assert mutual_contrastive_loss(f_p, f_r, MemoryQueue(5), "p0") is None
+        q = MemoryQueue(5)
+        q.push("p0", pair([1.0, 1.0], [1.0, -1.0]))
         # the patient's own queued prototypes are no negatives
-        assert mutual_contrastive_loss(f_p, f_r, q_p, q_r, "p0") is None
+        assert mutual_contrastive_loss(f_p, f_r, q, "p0") is None
 
     def test_symmetric_setup_doubles_single_direction(self):
         v = unit([1.0, 2.0])
         f_p = ad.constant([v])
         f_r = ad.constant([v])
         neg = unit([2.0, -1.0])
-        q_p = MemoryQueue(5)
-        q_r = MemoryQueue(5)
-        q_p.push(Prototype(vector=neg.copy(), patient_id="other"))
-        q_r.push(Prototype(vector=neg.copy(), patient_id="other"))
-        both = mutual_contrastive_loss(f_p, f_r, q_p, q_r, "p0")
+        q = MemoryQueue(5)
+        q.push("other", pair(neg, neg))
+        both = mutual_contrastive_loss(f_p, f_r, q, "p0")
         single = ad.contrastive(f_p, f_r, neg[None, :], 1.0)
         assert both.value[0, 0] == pytest.approx(2.0 * single.value[0, 0], abs=1e-12)
 
@@ -197,40 +189,41 @@ class TestMutualContrastiveLoss:
         rng = np.random.default_rng(6)
         f_p_v = unit(rng.normal(size=5))
         f_r_v = unit(rng.normal(size=5))
-        q_p = MemoryQueue(6)
-        q_r = MemoryQueue(6)
+        q = MemoryQueue(6)
+        patches, regions = [], []
         for i in range(4):
-            q_p.push(Prototype(unit(rng.normal(size=5)), f"n{i}"))
-            q_r.push(Prototype(unit(rng.normal(size=5)), f"m{i}"))
-        total = mutual_contrastive_loss(ad.constant([f_p_v]), ad.constant([f_r_v]), q_p, q_r, "p0")
+            patches.append(unit(rng.normal(size=5)))
+            regions.append(unit(rng.normal(size=5)))
+            q.push(f"n{i}", np.stack([patches[-1], regions[-1]]))
+        q.push("p0", pair(f_p_v, f_r_v))  # the patient's own pair is no negative
+        total = mutual_contrastive_loss(ad.constant([f_p_v]), ad.constant([f_r_v]), q, "p0")
 
         def direction(anchor, positive, negatives):
             pos = float(anchor @ positive)
             negs = negatives @ anchor
             return -math.log(math.exp(pos) / (math.exp(pos) + np.exp(negs).sum()))
 
-        oracle = (direction(f_p_v, f_r_v, q_r.negatives_for("p0"))
-                  + direction(f_r_v, f_p_v, q_p.negatives_for("p0")))
+        # the patch anchor meets the queued region prototypes, and vice versa
+        oracle = (direction(f_p_v, f_r_v, np.stack(regions))
+                  + direction(f_r_v, f_p_v, np.stack(patches)))
         assert total.value[0, 0] == pytest.approx(oracle, abs=1e-12)
 
     def test_no_gradient_reaches_queue_contents(self):
         rng = np.random.default_rng(7)
         tokens_p = ad.parameter(rng.normal(size=(3, 4)))
         tokens_r = ad.parameter(rng.normal(size=(3, 4)))
-        f_p, _ = make_prototype(tokens_p, "p0")
-        f_r, _ = make_prototype(tokens_r, "p0")
-        q_p = MemoryQueue(4)
-        q_r = MemoryQueue(4)
+        f_p = make_prototype(tokens_p)
+        f_r = make_prototype(tokens_r)
+        q = MemoryQueue(4)
         stored = []
         for i in range(2):
-            proto = Prototype(unit(rng.normal(size=4)), f"n{i}")
-            stored.append(proto.vector.copy())
-            q_p.push(proto)
-            q_r.push(Prototype(stored[-1].copy(), f"n{i}"))
-        loss = mutual_contrastive_loss(f_p, f_r, q_p, q_r, "p0")
+            stored.append(pair(rng.normal(size=4), rng.normal(size=4)))
+            q.push(f"n{i}", stored[-1].copy())
+        loss = mutual_contrastive_loss(f_p, f_r, q, "p0")
         loss.backward()
-        for proto, original in zip(q_p.entries(), stored):
-            assert proto.vector.tobytes() == original.tobytes()
+        assert [pid for pid, _ in q.entries()] == ["n0", "n1"]
+        for (_, entry), original in zip(q.entries(), stored):
+            assert entry.tobytes() == original.tobytes()
         assert tokens_p.grad is not None and tokens_r.grad is not None
 
 
@@ -240,30 +233,30 @@ class TestQueueStorage:
         q = MemoryQueue(6)
         oracle = deque(maxlen=5)
         for i in range(40):
-            proto = proto_of(rng.normal(size=4), pid=f"p{i % 7}")
-            q.push(proto)
-            oracle.append(proto)
+            vec = unit(rng.normal(size=4))
+            q.push(f"p{i % 7}", vec)
+            oracle.append((f"p{i % 7}", vec))
             for pid in ("p0", "p3", "nobody"):
-                vecs = [p.vector for p in oracle if p.patient_id != pid]
-                expected = np.stack(vecs) if vecs else np.zeros((0, 0))
+                vecs = [v for owner, v in oracle if owner != pid]
+                expected = np.stack(vecs) if vecs else np.empty((0, 4))
                 assert np.array_equal(q.negatives_for(pid), expected)
 
     def test_a_push_after_the_loss_leaves_its_gradient_alone(self):
         # the loss keeps its negatives until the backward pass; a push in
-        # between (training pushes right after forming the loss) must not
-        # reach them, even when the queue's only row is overwritten
+        # between must not reach them, even when the queue's only row is
+        # overwritten
         rng = np.random.default_rng(10)
         anchor_v, positive_v, other, mine = (unit(rng.normal(size=4)) for _ in range(4))
 
         def gradients(copy_negatives):
             q = MemoryQueue(2)
-            q.push(Prototype(other.copy(), "other"))
+            q.push("other", other)
             negatives = q.negatives_for("me")
             if copy_negatives:
                 negatives = negatives.copy()
             anchor, positive = ad.parameter([anchor_v]), ad.parameter([positive_v])
             loss = ad.contrastive(anchor, positive, negatives, 1.0)
-            q.push(Prototype(mine.copy(), "me"))
+            q.push("me", mine)
             loss.backward()
             return anchor.grad, positive.grad
 
@@ -272,6 +265,10 @@ class TestQueueStorage:
 
     def test_pushing_another_dimension_is_a_shape_error(self):
         q = MemoryQueue(3)
-        q.push(proto_of([1.0, 0.0]))
+        q.push("x", unit([1.0, 0.0]))
         with pytest.raises(ShapeError):
-            q.push(proto_of([1.0, 0.0, 0.0]))
+            q.push("y", unit([1.0, 0.0, 0.0]))
+        pairs = MemoryQueue(3)
+        pairs.push("x", pair([1.0, 0.0], [0.0, 1.0]))
+        with pytest.raises(ShapeError):
+            pairs.push("y", pair([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))

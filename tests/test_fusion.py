@@ -3,7 +3,8 @@ import pytest
 
 import ad_chain as ad
 from promptsurv.errors import DataValidationError, ShapeError
-from promptsurv.fusion import gate_fuse, pool_to_regions, row_sum
+from promptsurv.autodiff import _row_sum as row_sum
+from promptsurv.fusion import gate_fuse, pool_to_regions
 
 
 # the gate's parameter shapes in gate_blend's order: w_gate, b_gate, w_patch,

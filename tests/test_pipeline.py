@@ -33,7 +33,7 @@ from promptsurv.pipeline import (
 
 def cache_key(rec):
     """The key of a patient's entry in a fold's cache of constants."""
-    return rec.patient_id, rec.patch_bag, rec.region_bag
+    return rec.patch_bag, rec.region_bag
 
 
 def fast_cfg(**overrides):
@@ -264,8 +264,43 @@ class TestTraining:
         model, _ = train_fold(records[:6], prompts,
                               fast_cfg(epochs=2, queue_length=20))
         # 12 pushes against capacity 19: nothing evicted, nothing reset
-        assert len(model.queue_patch) == 12
-        assert len(model.queue_region) == 12
+        assert len(model.queue) == 12
+
+    def test_patient_loss_leaves_the_queue_alone(self, small_cohort):
+        records, prompts, _ = small_cohort
+        model, _ = train_fold(records[:6], prompts, fast_cfg(epochs=1))
+        before = model.queue.entries()
+        assert before
+        (first, queued), (second, _) = (model.patient_loss(records[7]) for _ in range(2))
+        assert first.value.tobytes() == second.value.tobytes()
+        assert queued.shape == (2, model.d)
+        after = model.queue.entries()
+        assert len(model.queue) == len(before)
+        assert [(pid, vec.tobytes()) for pid, vec in after] == \
+            [(pid, vec.tobytes()) for pid, vec in before]
+
+    def test_queue_holds_the_last_trained_patients_pairs(self, small_cohort, monkeypatch):
+        records, prompts, _ = small_cohort
+        trained = []
+        patient_loss = pipeline.Pipeline.patient_loss
+
+        def recorded(self, rec):
+            trained.append(rec.patient_id)
+            return patient_loss(self, rec)
+
+        monkeypatch.setattr(pipeline.Pipeline, "patient_loss", recorded)
+        # 12 steps against capacity 4: the queue evicts
+        model, _ = train_fold(records[:6], prompts, fast_cfg(epochs=2, queue_length=5))
+        assert len(trained) == 12
+        entries = model.queue.entries()
+        assert [pid for pid, _ in entries] == trained[-4:]
+        by_id = {rec.patient_id: rec for rec in records[:6]}
+        for pid, entry in entries:
+            assert entry.shape == (2, model.d)
+            assert np.linalg.norm(entry, axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
+            # the patch half is the patient's cached patch prototype
+            patch_proto = model._constants(by_id[pid])[3]
+            assert entry[0].tobytes() == patch_proto.value[0].tobytes()
 
     def test_contrastive_temperature_changes_loss(self, small_cohort):
         records, prompts, _ = small_cohort
@@ -304,13 +339,13 @@ class TestTraining:
     def test_g_loss_graph_holds_only_the_trainable_path(self, small_cohort):
         records, prompts, _ = small_cohort
         model, _ = train_fold(records[:8], prompts, fast_cfg(epochs=1))
-        assert len(model.queue_patch) and len(model.queue_region)
+        assert len(model.queue)
         sizes = []
         for rec in records[8:12]:
             for censor in (0, 1):
                 for time_bin in range(1, model.cfg.n_bins + 1):
                     case = replace(rec, censor=censor, time_bin=time_bin)
-                    loss = model.patient_loss(case, update_queues=False)
+                    loss = model.patient_loss(case)[0]
                     sizes.append(len(ad._toposort(loss)))
         assert max(sizes) <= 40
 
@@ -326,16 +361,16 @@ class TestTraining:
             for censor in (0, 1):
                 for time_bin in range(1, model.cfg.n_bins + 1):
                     case = replace(rec, censor=censor, time_bin=time_bin)
-                    loss = model.patient_loss(case, update_queues=False)
+                    loss = model.patient_loss(case)[0]
                     sizes.append(len(ad._toposort(loss)))
         assert max(sizes) <= 22
 
     def test_first_step_of_a_fold_trains_on_the_nll_alone(self, small_cohort):
-        # both queues start empty, so MCL has no negatives: the loss is the
+        # the queue starts empty, so MCL has no negatives: the loss is the
         # NLL node itself, with no contrastive, add or scale node
         records, prompts, _ = small_cohort
         model = pipeline.Pipeline(prompts, records[0].patch_bag.dim, fast_cfg())
-        assert len(model.queue_patch) == len(model.queue_region) == 0
+        assert len(model.queue) == 0
 
         def op_names(loss):
             return {node._backward.__qualname__.split(".")[0]
@@ -344,12 +379,13 @@ class TestTraining:
         first = records[0]
         h = model.forward(first)[0]
         nll = survival.nll_loss(h, survival.survival_curve(h), first.censor, first.time_bin)
-        loss = model.patient_loss(first)
+        loss, queued = model.patient_loss(first)
         assert loss.value.tobytes() == nll.value.tobytes()
         assert len(ad._toposort(loss)) == len(ad._toposort(nll))
         assert not op_names(loss) & {"contrastive", "add", "scale"}
-        # the queues now hold the first patient, so the next one contrasts
-        assert {"contrastive", "add", "scale"} <= op_names(model.patient_loss(records[1]))
+        # with the first patient queued, the next one contrasts
+        model.queue.push(first.patient_id, queued)
+        assert {"contrastive", "add", "scale"} <= op_names(model.patient_loss(records[1])[0])
 
     @pytest.mark.parametrize("variant", ["A", "G"])
     def test_fused_module_ops_train_like_their_chains(self, small_cohort, monkeypatch,
@@ -385,9 +421,9 @@ class TestTraining:
             calls["pool"] += 1
             return pool(*args)
 
-        def counted_prototype(selected, patient_id):
+        def counted_prototype(selected):
             calls["patch_prototype"] += not selected.requires_grad
-            return make_prototype(selected, patient_id)
+            return make_prototype(selected)
 
         monkeypatch.setattr(pipeline, "pool_to_regions", counted_pool)
         monkeypatch.setattr(pipeline, "make_prototype", counted_prototype)
@@ -425,17 +461,17 @@ class TestTraining:
         # whole head stack (in E the patch and region rows), and one node
         records, prompts, _ = small_cohort
         sums, nodes = [], []
-        row_sum, constant = pipeline.row_sum, ad.constant
+        fuse, constant = pipeline.fuse, ad.constant
 
-        def counted_sum(rows):
-            sums.append(rows.shape[0])
-            return row_sum(rows)
+        def counted_fuse(patch, region):
+            sums.append(len(patch) + (0 if region is None else len(region)))
+            return fuse(patch, region)
 
         def counted_constant(data):
             nodes.append(np.shape(data))
             return constant(data)
 
-        monkeypatch.setattr(pipeline, "row_sum", counted_sum)
+        monkeypatch.setattr(pipeline, "fuse", counted_fuse)
         monkeypatch.setattr(ad, "constant", counted_constant)
         for variant in "BCDE":
             sums.clear()

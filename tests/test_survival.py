@@ -29,18 +29,33 @@ def hazard_node(values):
 
 
 class TestFuse:
+    @staticmethod
+    def in_order_sum(stack):
+        return np.add.accumulate(stack, axis=0)[-1:]
+
     def test_row_counts_add(self):
-        out = fuse(np.ones((3, 4)), np.zeros((2, 4)))
-        assert out.shape == (5, 4)
+        total, count = fuse(np.ones((3, 4)), np.full((2, 4), 0.5))
+        assert count == 5
+        assert np.array_equal(total, np.full((1, 4), 4.0))
 
     def test_patch_rows_come_first(self):
-        patch = np.arange(6.0).reshape(3, 2)
-        out = fuse(patch, np.zeros((1, 2)))
-        assert np.array_equal(out[:3], patch)
+        # one channel of rows whose sum depends on the order they are added in
+        rng = np.random.default_rng(0)
+        patch = rng.normal(size=(9, 1)) * 10.0 ** rng.uniform(-8, 8, size=(9, 1))
+        region = rng.normal(size=(4, 1)) * 10.0 ** rng.uniform(-8, 8, size=(4, 1))
+        total, count = fuse(patch, region)
+        assert count == 13
+        assert total.tobytes() == self.in_order_sum(np.vstack([patch, region])).tobytes()
+        # 1e16 - 1e16 + 1 is 1, and 1 + 1e16 - 1e16 is 0
+        total, _ = fuse(np.array([[1e16], [-1e16]]), np.array([[1.0]]))
+        assert np.array_equal(total, [[1.0]])
 
     def test_none_region_passes_through(self):
-        patch = np.ones((2, 3))
-        assert fuse(patch, None) is patch
+        # with no region rows, the patch rows alone are summed
+        patch = np.random.default_rng(1).normal(size=(7, 3))
+        total, count = fuse(patch, None)
+        assert count == 7
+        assert total.tobytes() == self.in_order_sum(patch).tobytes()
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
