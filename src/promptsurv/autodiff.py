@@ -27,7 +27,9 @@ one node per module:
 - `cumprod_complement`: one 1 - h and running product per column;
 - `neg_log_sum`: one neg(log(clamp_min(entry))) per term, then add;
 - `normalized_col_sum`: sum_cols, then division by the Euclidean norm;
-- `contrastive`: the two-product, exp, log-sum chain of one loss direction.
+- `mutual_contrastive`: two `contrastive` loss directions, each a
+  two-product, exp, log-sum chain, then add;
+- `add_scaled`: scale, then add.
 
 Each performs the same floating-point operations, in the same order, as its
 chain, in its value and in every gradient it accumulates, so the graph is
@@ -35,8 +37,9 @@ bit-identical to the chain's, with fewer nodes. A sum of two gradient terms
 commutes, but where an input receives three or more, the fused op
 accumulates them one at a time in the chain's order. A public operation
 never calls another, so each call builds one node. The chains, and the
-elementary operations no library code calls, live with the tests as the
-reference the fused operations are checked against (`tests/ad_chain.py`).
+operations no library code calls (among them `add`, `scale` and the
+one-direction `contrastive`), live with the tests as the reference the fused
+operations are checked against (`tests/ad_chain.py`).
 """
 
 from __future__ import annotations
@@ -148,28 +151,6 @@ def _make(value: np.ndarray, parents, backward) -> Node:
 
 # ---------------------------------------------------------------------------
 # elementary operations
-
-
-def add(a: Node, b: Node) -> Node:
-    _require_same_shape("add", a, b)
-    value = a.value + b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g)
-
-    return _make(value, (a, b), backward)
-
-
-def scale(a: Node, factor: float) -> Node:
-    factor = float(factor)
-
-    def backward(g):
-        a.accumulate(factor * g)
-
-    return _make(factor * a.value, (a,), backward)
 
 
 def gather_rows(a: Node, indices) -> Node:
@@ -367,44 +348,61 @@ def normalized_col_sum(a: Node) -> Node:
     return _make(value, (a,), backward)
 
 
-def contrastive(anchor: Node, positive: Node, negatives, temperature: float) -> Node:
-    """One direction of the queue-contrastive loss against constant negatives.
-
-    -log(e^{a.p/t} / (e^{a.p/t} + sum_k e^{a.n_k/t})) for 1xD rows a (anchor)
-    and p (positive) and the K rows n_k of `negatives` (KxD), which receive
-    no gradient.
-    """
-    # D x K, a copy: a caller's later write into its negatives must not
-    # change the gradient
-    neg_t = as_matrix(np.asarray(negatives, dtype=np.float64).T.copy())
-    d = anchor.value.shape[1]
-    if anchor.value.shape != (1, d) or positive.value.shape != (1, d) or neg_t.shape[0] != d:
-        raise ShapeError(f"contrastive shape mismatch: anchor {anchor.value.shape}, "
-                         f"positive {positive.value.shape}, negatives {neg_t.T.shape}")
-    if neg_t.size == 0:
-        raise EmptyInputError("contrastive needs at least one negative")
+def mutual_contrastive(a: Node, b: Node, negatives_a, negatives_b,
+                       temperature: float) -> Node:
+    """The queue-contrastive loss of 1xD rows a and b in both directions:
+    anchor a, positive b, the rows n_k of `negatives_b`, plus the reverse
+    against `negatives_a`; each is -log(e^{x.y/t} / (e^{x.y/t} + sum_k
+    e^{x.n_k/t})). The negatives (KxD, a K per level) receive no gradient."""
     factor = 1.0 / temperature
-    pos_t = np.ascontiguousarray(positive.value.T)  # D x 1
-    pos = factor * (anchor.value @ pos_t)  # 1x1
-    neg = factor * (anchor.value @ neg_t)  # 1xK
-    e_pos = _checked_exp(pos)
-    e_neg = _checked_exp(neg)
-    denom = e_pos + np.array([[e_neg.sum()]])
-    value = _checked_log(denom) + -pos
+    directions = []
+    for anchor, positive, negatives in ((a, b, negatives_b), (b, a, negatives_a)):
+        # D x K, a copy: a caller's later write into its negatives must not
+        # change the gradient
+        neg_t = as_matrix(np.asarray(negatives, dtype=np.float64).T.copy())
+        d = anchor.value.shape[1]
+        if anchor.value.shape != (1, d) or positive.value.shape != (1, d) or neg_t.shape[0] != d:
+            raise ShapeError(f"contrastive shape mismatch: anchor {anchor.value.shape}, "
+                             f"positive {positive.value.shape}, negatives {neg_t.T.shape}")
+        if neg_t.size == 0:
+            raise EmptyInputError("contrastive needs at least one negative")
+        pos_t = np.ascontiguousarray(positive.value.T)  # D x 1
+        pos = factor * (anchor.value @ pos_t)  # 1x1
+        e_pos = _checked_exp(pos)
+        e_neg = _checked_exp(factor * (anchor.value @ neg_t))  # 1xK
+        denom = e_pos + np.array([[e_neg.sum()]])
+        directions.append((anchor, positive, neg_t, pos_t, e_pos, e_neg, denom,
+                           _checked_log(denom) + -pos))
 
     def backward(g):
-        g_denom = g / denom
-        g_pos = factor * (-g + g_denom * e_pos)
-        g_neg = factor * (g_denom * e_neg)
-        # the chain's order when a prototype is the positive here and the
-        # anchor of the opposite direction
-        if positive.requires_grad:
-            positive.accumulate((anchor.value.T @ g_pos).T)
-        if anchor.requires_grad:
-            anchor.accumulate(g_neg @ neg_t.T)
-            anchor.accumulate(g_pos @ pos_t.T)
+        # the chain's order: direction by direction, the positive's term first
+        for anchor, positive, neg_t, pos_t, e_pos, e_neg, denom, _ in directions:
+            g_denom = g / denom
+            g_pos = factor * (-g + g_denom * e_pos)
+            g_neg = factor * (g_denom * e_neg)
+            if positive.requires_grad:
+                positive.accumulate((anchor.value.T @ g_pos).T)
+            if anchor.requires_grad:
+                anchor.accumulate(g_neg @ neg_t.T)
+                anchor.accumulate(g_pos @ pos_t.T)
 
-    return _make(value, (anchor, positive), backward)
+    # the sweep enters parents last to first, so (b, a) enters a's inputs
+    # first, as it entered the second direction's (anchor b, positive a)
+    return _make(directions[0][-1] + directions[1][-1], (b, a), backward)
+
+
+def add_scaled(a: Node, b: Node, factor: float) -> Node:
+    """a + factor * b."""
+    _require_same_shape("add_scaled", a, b)
+    factor = float(factor)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g)
+        if b.requires_grad:
+            b.accumulate(factor * g)
+
+    return _make(a.value + factor * b.value, (a, b), backward)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

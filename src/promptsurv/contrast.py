@@ -4,7 +4,8 @@ Each patient's selected tokens at one level collapse into a unit-norm
 prototype vector. One FIFO queue keeps the (patch, region) prototype pairs of
 the most recent B-1 patients as detached negatives; the loss pulls the two
 levels of the same patient together and pushes each against the other
-level's queued prototypes of other patients.
+level's queued prototypes of other patients. Both directions and their sum
+are one graph node (`autodiff.mutual_contrastive`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import normalized_col_sum
+from .autodiff import mutual_contrastive, normalized_col_sum
 from .errors import DegenerateInputError, ShapeError
 
 
@@ -74,7 +75,8 @@ class MemoryQueue:
 def mutual_contrastive_loss(proto_patch: ad.Node, proto_region: ad.Node,
                             queue: MemoryQueue, patient_id: str,
                             temperature: float = 1.0) -> ad.Node | None:
-    """Symmetric two-direction loss against the opposite level's prototypes.
+    """Symmetric two-direction loss against the opposite level's prototypes,
+    as one node.
 
     `queue` holds (2, d) pairs, patch then region. The patch anchor contrasts
     against the queued region prototypes and the region anchor against the
@@ -86,5 +88,5 @@ def mutual_contrastive_loss(proto_patch: ad.Node, proto_region: ad.Node,
     negatives = queue.negatives_for(patient_id)
     if not len(negatives):
         return None
-    return ad.add(ad.contrastive(proto_patch, proto_region, negatives[:, 1], temperature),
-                  ad.contrastive(proto_region, proto_patch, negatives[:, 0], temperature))
+    return mutual_contrastive(proto_patch, proto_region, negatives[:, 0], negatives[:, 1],
+                              temperature)

@@ -318,9 +318,15 @@ class Pipeline:
         self.switches = cfg.switches()
         self.d = d
         self.fold = fold
-        if self.switches.use_selection and (PATCH not in prompts or
-                                            (self.switches.use_regions and REGION not in prompts)):
+        # the levels whose prompts a selection reads (regions imply selection)
+        levels = [level for level, used in ((PATCH, self.switches.use_selection),
+                                            (REGION, self.switches.use_regions)) if used]
+        if any(level not in prompts for level in levels):
             raise ConfigError("selection variants need prompt sets for the enabled levels")
+        for level in levels:
+            if prompts[level].dim != d:
+                raise ConfigError(f"{level} prompts are {prompts[level].dim} wide but the "
+                                  f"bags are {d}")
         self.prompts = prompts
         # everything besides the bag and the prompts that a selection reads
         if self.switches.use_transport:
@@ -644,10 +650,15 @@ def run_ablation(records: list[PatientRecord], prompts: dict[str, PromptSet],
     The rungs share one selection memo: D-G select the same patch tokens,
     and B and C each keep their own cosine entries under their scoring key.
     Every rung's config is checked before the first rung runs; switch
-    overrides are rejected, since each rung sets its own switches.
+    overrides are rejected, since each rung sets its own switches, and so is
+    a repeated variant, which would train its rung twice and write its row
+    twice.
     """
     if not variants:
         raise ConfigError("no variants to run")
+    repeated = sorted({v for v in variants if variants.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"variants {repeated} repeated in {variants!r}")
     if cfg.switch_overrides:
         raise ConfigError(f"the ablation sets each rung's switches; got switch "
                           f"overrides {sorted(cfg.switch_overrides)}")

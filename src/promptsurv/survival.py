@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import _row_sum, mean_logistic, neg_log_sum
+from .autodiff import _row_sum, add_scaled, mean_logistic, neg_log_sum
 from .errors import ConfigError, ShapeError
 
 LOG_CLAMP = 1e-12
@@ -73,8 +73,8 @@ def risk_score(s_values: np.ndarray) -> float:
 
 
 def total_loss(l_sur: ad.Node, l_con: ad.Node | None, lam: float) -> ad.Node:
-    """l_sur + lam * l_con; the contrastive term drops out entirely at
-    lam = 0 or when absent (None, as on a cold start)."""
+    """l_sur + lam * l_con as one node; the contrastive term drops out
+    entirely at lam = 0 or when absent (None, as on a cold start)."""
     if l_con is None or lam == 0.0:
         return l_sur
-    return ad.add(l_sur, ad.scale(l_con, lam))
+    return add_scaled(l_sur, l_con, lam)

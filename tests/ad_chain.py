@@ -1,12 +1,13 @@
 """The autodiff engine plus the operations that only the tests use.
 
-The elementary ops here (`neg`, `exp`, `log`, `clamp_min`, `sigmoid`,
-`sum_all`, `sum_rows`, `matmul`, `transpose`, `mul`, `tanh`, `sum_cols`,
-`mean_rows`, `divide`, `concat_rows`, `concat_cols`, `softmax_cols`) and the
-fused `linear`, `lerp`, `l2_normalize_row` and `neg_log_entry` build the
-reference chains that the library's fused ops are checked against bit for
-bit, and the scalar losses handed to `grad_check`, the finite-difference
-harness at the end of this module.
+The elementary ops here (`add`, `scale`, `neg`, `exp`, `log`, `clamp_min`,
+`sigmoid`, `sum_all`, `sum_rows`, `matmul`, `transpose`, `mul`, `tanh`,
+`sum_cols`, `mean_rows`, `divide`, `concat_rows`, `concat_cols`,
+`softmax_cols`) and the fused `linear`, `lerp`, `l2_normalize_row`,
+`neg_log_entry` and one-direction `contrastive` build the reference chains
+that the library's fused ops are checked against bit for bit, and the scalar
+losses handed to `grad_check`, the finite-difference harness at the end of
+this module.
 No library code calls them, so they live here. The `*_chain` functions at
 the end compose them into the chain each of the library's module-level fused
 ops replaces, with the same signature. Test modules import this module as
@@ -21,8 +22,31 @@ import numpy as np
 from promptsurv.autodiff import *  # noqa: F401,F403
 from promptsurv.autodiff import (Node, _checked_exp, _checked_log,
                                  _linear_params_backward, _make, _require_linear,
-                                 _require_nonempty, _require_same_shape, _sigmoid)
-from promptsurv.errors import DegenerateInputError, DomainError, ShapeError
+                                 _require_nonempty, _require_same_shape, _sigmoid,
+                                 as_matrix)
+from promptsurv.errors import DegenerateInputError, DomainError, EmptyInputError, ShapeError
+
+
+def add(a: Node, b: Node) -> Node:
+    _require_same_shape("add", a, b)
+    value = a.value + b.value
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g)
+        if b.requires_grad:
+            b.accumulate(g)
+
+    return _make(value, (a, b), backward)
+
+
+def scale(a: Node, factor: float) -> Node:
+    factor = float(factor)
+
+    def backward(g):
+        a.accumulate(factor * g)
+
+    return _make(factor * a.value, (a,), backward)
 
 
 def neg(a: Node) -> Node:
@@ -290,6 +314,46 @@ def neg_log_entry(row: Node, col: int, floor: float) -> Node:
     return _make(value, (row,), backward)
 
 
+def contrastive(anchor: Node, positive: Node, negatives, temperature: float) -> Node:
+    """One direction of the queue-contrastive loss against constant negatives.
+
+    -log(e^{a.p/t} / (e^{a.p/t} + sum_k e^{a.n_k/t})) for 1xD rows a (anchor)
+    and p (positive) and the K rows n_k of `negatives` (KxD), which receive
+    no gradient.
+    """
+    # D x K, a copy: a caller's later write into its negatives must not
+    # change the gradient
+    neg_t = as_matrix(np.asarray(negatives, dtype=np.float64).T.copy())
+    d = anchor.value.shape[1]
+    if anchor.value.shape != (1, d) or positive.value.shape != (1, d) or neg_t.shape[0] != d:
+        raise ShapeError(f"contrastive shape mismatch: anchor {anchor.value.shape}, "
+                         f"positive {positive.value.shape}, negatives {neg_t.T.shape}")
+    if neg_t.size == 0:
+        raise EmptyInputError("contrastive needs at least one negative")
+    factor = 1.0 / temperature
+    pos_t = np.ascontiguousarray(positive.value.T)  # D x 1
+    pos = factor * (anchor.value @ pos_t)  # 1x1
+    neg = factor * (anchor.value @ neg_t)  # 1xK
+    e_pos = _checked_exp(pos)
+    e_neg = _checked_exp(neg)
+    denom = e_pos + np.array([[e_neg.sum()]])
+    value = _checked_log(denom) + -pos
+
+    def backward(g):
+        g_denom = g / denom
+        g_pos = factor * (-g + g_denom * e_pos)
+        g_neg = factor * (g_denom * e_neg)
+        # the chain's order when a prototype is the positive here and the
+        # anchor of the opposite direction
+        if positive.requires_grad:
+            positive.accumulate((anchor.value.T @ g_pos).T)
+        if anchor.requires_grad:
+            anchor.accumulate(g_neg @ neg_t.T)
+            anchor.accumulate(g_pos @ pos_t.T)
+
+    return _make(value, (anchor, positive), backward)
+
+
 # ---------------------------------------------------------------------------
 # the chains the library's fused module ops replace
 
@@ -329,6 +393,16 @@ def neg_log_sum_chain(entries, floor: float) -> Node:
 
 def normalized_col_sum_chain(a: Node) -> Node:
     return l2_normalize_row(sum_cols(a))
+
+
+def mutual_contrastive_chain(a: Node, b: Node, negatives_a, negatives_b,
+                             temperature: float) -> Node:
+    return add(contrastive(a, b, negatives_b, temperature),
+               contrastive(b, a, negatives_a, temperature))
+
+
+def add_scaled_chain(a: Node, b: Node, factor: float) -> Node:
+    return add(a, scale(b, factor))
 
 
 # ---------------------------------------------------------------------------

@@ -476,12 +476,13 @@ class TestFusedOps:
     @pytest.mark.parametrize("temperature", [1.0, 0.3, 0.07])
     @pytest.mark.parametrize("seed", range(5))
     def test_contrastive_is_bit_identical_to_its_chain(self, seed, temperature):
+        # the chain of two one-direction reference ops and their sum
         rng = np.random.default_rng(seed)
-        d, k = (int(v) for v in rng.integers(1, 20, size=2))
-        negatives = unit_rows(rng, k, d)
+        d, k_a, k_b = (int(v) for v in rng.integers(1, 20, size=3))
+        neg_a, neg_b = unit_rows(rng, k_a, d), unit_rows(rng, k_b, d)
         fused, chain = twin_parameters(unit_rows(rng, 1, d), unit_rows(rng, 1, d))
-        assert_bit_identical(ad.contrastive(*fused, negatives, temperature),
-                             contrastive_chain(*chain, negatives, temperature),
+        assert_bit_identical(ad.mutual_contrastive(*fused, neg_a, neg_b, temperature),
+                             ad.mutual_contrastive_chain(*chain, neg_a, neg_b, temperature),
                              rng.normal(size=(1, 1)), fused, chain)
 
     @pytest.mark.parametrize("temperature", [1.0, 0.3, 0.07])
@@ -498,51 +499,77 @@ class TestFusedOps:
                           op(region, patch, neg_patch, temperature))
 
         fused, chain = twin_parameters(unit_rows(rng, 1, d), unit_rows(rng, 1, d))
-        assert_bit_identical(mutual(ad.contrastive, *fused),
+        assert_bit_identical(ad.mutual_contrastive(*fused, neg_patch, neg_region, temperature),
                              mutual(contrastive_chain, *chain),
                              rng.normal(size=(1, 1)), fused, chain)
 
     def test_contrastive_gradients_match_finite_differences(self):
         rng = np.random.default_rng(24)
         params = [ad.parameter(v) for v in (unit_rows(rng, 1, 6), unit_rows(rng, 1, 6))]
-        negatives = unit_rows(rng, 4, 6)
-        assert ad.grad_check(lambda p: ad.contrastive(*p, negatives, 0.5),
+        neg_a, neg_b = unit_rows(rng, 4, 6), unit_rows(rng, 3, 6)
+        assert ad.grad_check(lambda p: ad.mutual_contrastive(*p, neg_a, neg_b, 0.5),
                              params, h=1e-5) <= 1e-6
 
-    @pytest.mark.parametrize("op", [ad.contrastive, contrastive_chain])
+    @pytest.mark.parametrize("op", [
+        ad.mutual_contrastive,
+        lambda a, b, neg_a, neg_b, t: ad.add(contrastive_chain(a, b, neg_b, t),
+                                             contrastive_chain(b, a, neg_a, t)),
+    ], ids=["contrastive", "contrastive_chain"])
     def test_contrastive_domain_errors_match_the_chain(self, op):
         anchor, positive = ad.parameter([[30.0, 0.0]]), ad.parameter([[30.0, 0.0]])
+        negatives = np.array([[1.0, 0.0]])
         with pytest.raises(DomainError, match="exp overflow"):
-            op(anchor, positive, np.array([[1.0, 0.0]]), 1.0)
+            op(anchor, positive, negatives, negatives, 1.0)
         # every exponential underflows to 0 at a tiny temperature
         anchor, positive = ad.parameter([[1.0, 0.0]]), ad.parameter([[-1.0, 0.0]])
+        negatives = np.array([[-1.0, 0.0]])
         with pytest.raises(DomainError, match="non-positive"):
-            op(anchor, positive, np.array([[-1.0, 0.0]]), 1e-3)
+            op(anchor, positive, negatives, negatives, 1e-3)
 
     def test_contrastive_rejects_mismatched_or_missing_negatives(self):
-        anchor, positive = ad.parameter(np.ones((1, 3))), ad.parameter(np.ones((1, 3)))
-        with pytest.raises(ShapeError, match=r"\(2, 4\)"):
-            ad.contrastive(anchor, positive, np.ones((2, 4)), 1.0)
-        with pytest.raises(EmptyInputError):
-            ad.contrastive(anchor, positive, np.zeros((0, 3)), 1.0)
+        a, b = ad.parameter(np.ones((1, 3))), ad.parameter(np.ones((1, 3)))
+        fine = np.ones((2, 3))
+        for neg_a, neg_b in ((fine, np.ones((2, 4))), (np.ones((2, 4)), fine)):
+            with pytest.raises(ShapeError, match=r"\(2, 4\)"):
+                ad.mutual_contrastive(a, b, neg_a, neg_b, 1.0)
+        for neg_a, neg_b in ((fine, np.zeros((0, 3))), (np.zeros((0, 3)), fine)):
+            with pytest.raises(EmptyInputError):
+                ad.mutual_contrastive(a, b, neg_a, neg_b, 1.0)
 
     def test_contrastive_keeps_its_negatives_when_the_caller_writes_them(self):
         # a single negative row transposes into a contiguous column, which
         # an unforced conversion would alias
         rng = np.random.default_rng(27)
         values = unit_rows(rng, 1, 5), unit_rows(rng, 1, 5)
-        negatives = unit_rows(rng, 1, 5)
+        negatives = unit_rows(rng, 1, 5), unit_rows(rng, 1, 5)
 
-        def anchor_grad(overwrite):
-            anchor, positive = (ad.parameter(v.copy()) for v in values)
-            own = negatives.copy()
-            loss = ad.contrastive(anchor, positive, own, 0.5)
+        def grads(overwrite):
+            a, b = (ad.parameter(v.copy()) for v in values)
+            own = [n.copy() for n in negatives]
+            loss = ad.mutual_contrastive(a, b, *own, 0.5)
             if overwrite:
-                own[...] = 0.0
+                for n in own:
+                    n[...] = 0.0
             loss.backward()
-            return anchor.grad
+            return a.grad.tobytes(), b.grad.tobytes()
 
-        assert np.array_equal(anchor_grad(overwrite=True), anchor_grad(overwrite=False))
+        assert grads(overwrite=True) == grads(overwrite=False)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_add_scaled_is_bit_identical_to_its_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(v) for v in rng.integers(1, 5, size=2))
+        factor = float(rng.choice([0.0, 1.0, -0.5, rng.uniform(0.001, 10.0)]))
+        weights = rng.normal(size=shape)
+        weights[rng.uniform(size=shape) < 0.3] = -0.0  # upstream zeros of either sign
+        weights[rng.uniform(size=shape) < 0.2] = 0.0
+        fused, chain = twin_parameters(rng.normal(size=shape), rng.normal(size=shape))
+        assert_bit_identical(ad.add_scaled(*fused, factor), ad.add_scaled_chain(*chain, factor),
+                             weights, fused, chain)
+
+    def test_add_scaled_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(1, 2\).*\(1, 3\)"):
+            ad.add_scaled(ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 3))), 0.5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_neg_log_entry_is_bit_identical_to_its_chain(self, seed):

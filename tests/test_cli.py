@@ -287,6 +287,7 @@ class TestAblate:
         (["--variants", ""], "no variants"),
         (["--variants", "G", "--variant", "A"], "--variant"),
         (["--variants", "G", "--switch", "use_gate=false"], "use_gate"),
+        (["--variants", "BB"], "variants ['B'] repeated in 'BB'"),
     ])
     def test_settings_the_ladder_would_drop_exit_code(self, cohort_dir, tmp_path, capsys,
                                                       flags, message):

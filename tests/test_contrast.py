@@ -185,6 +185,24 @@ class TestMutualContrastiveLoss:
         single = ad.contrastive(f_p, f_r, neg[None, :], 1.0)
         assert both.value[0, 0] == pytest.approx(2.0 * single.value[0, 0], abs=1e-12)
 
+    def test_one_node_is_the_sum_of_two_reference_directions(self):
+        rng = np.random.default_rng(8)
+        q = MemoryQueue(5)
+        for i in range(3):
+            q.push(f"n{i}", pair(rng.normal(size=4), rng.normal(size=4)))
+        neg = q.negatives_for("p0")
+        values = unit(rng.normal(size=4)), unit(rng.normal(size=4))
+        lib_p, lib_r = (ad.parameter([v]) for v in values)
+        ref_p, ref_r = (ad.parameter([v]) for v in values)
+        loss = mutual_contrastive_loss(lib_p, lib_r, q, "p0", temperature=0.5)
+        ref = ad.add(ad.contrastive(ref_p, ref_r, neg[:, 1], 0.5),
+                     ad.contrastive(ref_r, ref_p, neg[:, 0], 0.5))
+        assert loss.value.tobytes() == ref.value.tobytes()
+        loss.backward()
+        ref.backward()
+        assert lib_p.grad.tobytes() == ref_p.grad.tobytes()
+        assert lib_r.grad.tobytes() == ref_r.grad.tobytes()
+
     def test_random_instance_matches_compositional_oracle(self):
         rng = np.random.default_rng(6)
         f_p_v = unit(rng.normal(size=5))

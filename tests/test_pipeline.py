@@ -251,6 +251,21 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_fold(records[:4], {}, fast_cfg(variant="G"))
 
+    def test_prompts_of_another_width_rejected_for_the_levels_read(self, small_cohort):
+        records, prompts, _ = small_cohort
+        _, narrow, _ = build_cohort(d=12, seed=3)
+        for variant in "BDG":
+            with pytest.raises(ConfigError, match="patch prompts are 12 wide but the bags are 16"):
+                train_fold(records[:4], narrow, fast_cfg(variant=variant))
+        mixed = {**prompts, REGION: narrow[REGION]}
+        for variant in "EG":
+            with pytest.raises(ConfigError, match="region prompts are 12 wide but the bags are 16"):
+                train_fold(records[:4], mixed, fast_cfg(variant=variant))
+        # A reads no prompts, and B-D no region prompts
+        for variant, given in (("A", narrow), ("D", mixed)):
+            _, trace = train_fold(records[:4], given, fast_cfg(variant=variant, epochs=1))
+            assert np.isfinite(trace[-1])
+
     def test_undiscretized_cohort_rejected(self, small_cohort):
         records, prompts, _ = small_cohort
         broken = [replace(r) for r in records[:4]]
@@ -350,10 +365,11 @@ class TestTraining:
         assert max(sizes) <= 40
 
     def test_g_loss_graph_is_one_node_per_module(self, small_cohort):
-        # 11 leaves (8 parameters, 3 cached constants) and 11 ops: gate,
-        # region gather, head, survival curve, NLL, region prototype, two
-        # contrastive directions and three sums or scalings; the selected
-        # patch rows reach the head as a cached row sum, with no token stack
+        # 11 leaves (8 parameters, 3 cached constants) and 8 ops: gate,
+        # region gather, head, survival curve, NLL, region prototype, the
+        # two-direction contrastive loss and the lambda-weighted sum; the
+        # selected patch rows reach the head as a cached row sum, with no
+        # token stack
         records, prompts, _ = small_cohort
         model, _ = train_fold(records[:8], prompts, fast_cfg(epochs=1))
         sizes = []
@@ -363,11 +379,11 @@ class TestTraining:
                     case = replace(rec, censor=censor, time_bin=time_bin)
                     loss = model.patient_loss(case)[0]
                     sizes.append(len(ad._toposort(loss)))
-        assert max(sizes) <= 22
+        assert max(sizes) <= 19
 
     def test_first_step_of_a_fold_trains_on_the_nll_alone(self, small_cohort):
         # the queue starts empty, so MCL has no negatives: the loss is the
-        # NLL node itself, with no contrastive, add or scale node
+        # NLL node itself, with no contrastive or weighted-sum node
         records, prompts, _ = small_cohort
         model = pipeline.Pipeline(prompts, records[0].patch_bag.dim, fast_cfg())
         assert len(model.queue) == 0
@@ -382,10 +398,10 @@ class TestTraining:
         loss, queued = model.patient_loss(first)
         assert loss.value.tobytes() == nll.value.tobytes()
         assert len(ad._toposort(loss)) == len(ad._toposort(nll))
-        assert not op_names(loss) & {"contrastive", "add", "scale"}
+        assert not op_names(loss) & {"mutual_contrastive", "add_scaled"}
         # with the first patient queued, the next one contrasts
         model.queue.push(first.patient_id, queued)
-        assert {"contrastive", "add", "scale"} <= op_names(model.patient_loss(records[1])[0])
+        assert {"mutual_contrastive", "add_scaled"} <= op_names(model.patient_loss(records[1])[0])
 
     @pytest.mark.parametrize("variant", ["A", "G"])
     def test_fused_module_ops_train_like_their_chains(self, small_cohort, monkeypatch,
@@ -401,7 +417,8 @@ class TestTraining:
         fused = run()
         calls = Counter()
         for module, name in ((fusion, "gate_blend"), (survival, "mean_logistic"),
-                             (survival, "neg_log_sum"), (contrast, "normalized_col_sum"),
+                             (survival, "neg_log_sum"), (survival, "add_scaled"),
+                             (contrast, "normalized_col_sum"), (contrast, "mutual_contrastive"),
                              (pipeline, "gated_attention")):
             def counted(*args, _chain=getattr(ad_chain, name + "_chain"), _name=name):
                 calls[_name] += 1
@@ -409,7 +426,8 @@ class TestTraining:
             monkeypatch.setattr(module, name, counted)
         assert run() == fused
         used = {"A": {"gated_attention", "mean_logistic", "neg_log_sum"},
-                "G": {"gate_blend", "mean_logistic", "neg_log_sum", "normalized_col_sum"}}
+                "G": {"gate_blend", "mean_logistic", "neg_log_sum", "normalized_col_sum",
+                      "mutual_contrastive", "add_scaled"}}
         assert set(calls) == used[variant]
 
     def test_patch_constants_built_once_per_patient(self, small_cohort, monkeypatch):
@@ -662,6 +680,16 @@ class TestAblation:
             run_ablation(records, prompts, fast_cfg(epochs=1), k=3, variants="GZ")
         assert calls == []
 
+
+    def test_repeated_variant_rejected_before_any_rung(self, small_cohort, monkeypatch):
+        records, prompts, _ = small_cohort
+        calls = []
+        monkeypatch.setattr(pipeline, "cross_validate",
+                            lambda *args, **kwargs: calls.append(args))
+        for variants in ("BB", "ABGA"):
+            with pytest.raises(ConfigError, match=f"repeated in '{variants}'"):
+                run_ablation(records, prompts, fast_cfg(epochs=1), k=3, variants=variants)
+        assert calls == []
 
     def test_switch_overrides_and_empty_ladder_rejected_before_any_rung(
             self, small_cohort, monkeypatch):
