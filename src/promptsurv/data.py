@@ -13,6 +13,13 @@ fits int64:
   - parent map: one region index per line (patch i's parent on line i);
     blanks around it and blank lines are allowed
   - manifest: JSON listing per-patient files plus one prompt file per level
+
+A loaded cohort keeps its patch bags in their files. The load reads and
+checks every file once, then keeps of each patch bag only its path, shape,
+parent map and the file's (size, mtime) stamp; each read of the bag's tokens
+reads the file again, with the same checks, and raises DataValidationError if
+the stamp changed. Prompt sets and region bags, read at every step, stay in
+memory.
 """
 
 from __future__ import annotations
@@ -34,37 +41,53 @@ PATCH = "patch"
 REGION = "region"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class FeatureBag:
     """Per-patient matrix of visual tokens at one hierarchy level.
 
+    A bag holds its tokens in memory, or, given `path`, `shape` and `stamp`
+    in their place, only where they live: each read of `tokens` then reads
+    the file again (see `read_checked`). `size` and `dim` never read it.
     Compares by identity, so a bag can key the caches built from it."""
 
     level: str
     tokens: np.ndarray                      # M x d
     parent_region: np.ndarray | None = None  # patch level only, length M
 
-    def __post_init__(self):
-        self.tokens = np.ascontiguousarray(self.tokens, dtype=np.float64)
-        if self.tokens.ndim != 2 or self.tokens.size == 0:
+    def __init__(self, level: str, tokens=None, parent_region=None, *,
+                 path=None, shape: tuple[int, int] | None = None,
+                 stamp: tuple[int, int] | None = None):
+        self.level = level
+        self.path, self.stamp = path, stamp
+        if tokens is not None:
+            tokens = np.ascontiguousarray(tokens, dtype=np.float64)
+            shape = tokens.shape
+        self._tokens, self.shape = tokens, shape
+        if len(shape) != 2 or 0 in shape:
             raise DataValidationError(
-                f"{self.level} bag must be a nonempty matrix, got shape {self.tokens.shape}"
-            )
-        if self.parent_region is not None:
-            self.parent_region = np.asarray(self.parent_region, dtype=np.int64)
-            if self.parent_region.shape != (self.tokens.shape[0],):
+                f"{level} bag must be a nonempty matrix, got shape {shape}")
+        self.parent_region = parent_region
+        if parent_region is not None:
+            self.parent_region = np.asarray(parent_region, dtype=np.int64)
+            if self.parent_region.shape != (shape[0],):
                 raise DataValidationError(
                     "parent map length "
-                    f"{self.parent_region.shape} != token count {self.tokens.shape[0]}"
+                    f"{self.parent_region.shape} != token count {shape[0]}"
                 )
 
     @property
+    def tokens(self) -> np.ndarray:
+        if self._tokens is not None:
+            return self._tokens
+        return read_checked(self.path, self.shape, self.stamp)
+
+    @property
     def size(self) -> int:
-        return self.tokens.shape[0]
+        return self.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.tokens.shape[1]
+        return self.shape[1]
 
 
 @dataclass(eq=False)
@@ -334,6 +357,35 @@ def read_matrix(path) -> np.ndarray:
     return mat
 
 
+def _file_stamp(path) -> tuple[int, int]:
+    """The (size, mtime in ns) pair that tells a cohort file changed."""
+    status = os.stat(path)
+    return status.st_size, status.st_mtime_ns
+
+
+def read_checked(path, shape: tuple[int, int] | None = None,
+                 stamp: tuple[int, int] | None = None) -> np.ndarray:
+    """Read a cohort matrix file with every check the load makes: the header
+    and size checks of `read_matrix`, at least one row and one column, and
+    finite entries. A re-read passes the `shape` and the (size, mtime) stamp
+    the load recorded; the stamp is taken again after the read, so a file
+    changed since the load, or during this read, raises DataValidationError."""
+    mat = read_matrix(path)
+    if stamp is not None and _file_stamp(path) != stamp:
+        raise DataValidationError(f"{path} changed since the cohort was loaded")
+    if mat.size == 0:
+        raise DataValidationError(f"empty {mat.shape[0]}x{mat.shape[1]} matrix in {path}")
+    if shape is not None and mat.shape != shape:
+        raise DataValidationError(
+            f"{path} is {mat.shape[0]}x{mat.shape[1]}, but was "
+            f"{shape[0]}x{shape[1]} when the cohort was loaded")
+    if not np.isfinite(mat).all():
+        idx = np.argwhere(~np.isfinite(mat))[0]
+        raise DataValidationError(
+            f"non-finite entry at {tuple(int(i) for i in idx)} in {path}")
+    return mat
+
+
 def write_parent_map(path, parents: np.ndarray):
     with open(path, "w", encoding="ascii") as fh:
         for idx in parents:
@@ -417,6 +469,12 @@ def load_cohort(manifest_path):
     matrix file with no rows or no columns, any dimension mismatch across the
     matrix files, out-of-range parent indices, and non-finite embedding
     entries.
+
+    Every file is read and checked once here. The returned patch bags hold
+    no tokens: each keeps its file's path, shape and stamp, and reads the
+    file again, with the same checks, whenever its tokens are read. So the
+    patch files must not change while the cohort is in use; a changed one
+    raises DataValidationError naming it.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -443,13 +501,7 @@ def load_cohort(manifest_path):
     def read(rel) -> np.ndarray:
         nonlocal ref
         path = os.path.join(base, rel)
-        mat = read_matrix(path)
-        if mat.size == 0:
-            raise DataValidationError(f"empty {mat.shape[0]}x{mat.shape[1]} matrix in {path}")
-        if not np.isfinite(mat).all():
-            idx = np.argwhere(~np.isfinite(mat))[0]
-            raise DataValidationError(
-                f"non-finite entry at {tuple(int(i) for i in idx)} in {path}")
+        mat = read_checked(path)
         if ref is None:
             ref = (mat.shape[1], path)
         elif mat.shape[1] != ref[0]:
@@ -463,13 +515,17 @@ def load_cohort(manifest_path):
                for level in (PATCH, REGION) if prompt_files.get(level) is not None}
     records = []
     for entry in entries:
-        patch_mat = read(entry["patch"])
+        patch_shape = read(entry["patch"]).shape
+        patch_path = os.path.join(base, entry["patch"])
+        # stamped after the read: every fold reads the file as stamped, and
+        # checks it again
+        stamp = _file_stamp(patch_path)
         region_mat = read(entry["region"])
         parent_path = os.path.join(base, entry["parents"])
         parents = read_parent_map(parent_path)
-        if parents.size != patch_mat.shape[0]:
+        if parents.size != patch_shape[0]:
             raise DataValidationError(
-                f"{parent_path}: {parents.size} entries for {patch_mat.shape[0]} patches"
+                f"{parent_path}: {parents.size} entries for {patch_shape[0]} patches"
             )
         if parents.size and parents.max() >= region_mat.shape[0]:
             raise DataValidationError(
@@ -479,7 +535,8 @@ def load_cohort(manifest_path):
             patient_id=entry["id"],
             censor=entry["censor"],
             time=entry["time"],
-            patch_bag=FeatureBag(PATCH, patch_mat, parents),
+            patch_bag=FeatureBag(PATCH, parent_region=parents, path=patch_path,
+                                 shape=patch_shape, stamp=stamp),
             region_bag=FeatureBag(REGION, region_mat),
             time_bin=entry.get("time_bin"),
         ))

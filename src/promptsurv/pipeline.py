@@ -18,12 +18,14 @@ region level of variants without the gate), its selection depends on the
 tokens, the prompts and the scoring settings only, never on a parameter.
 Each fold caches, once per patient, the constant inputs no parameter
 reaches, in one of three shapes; the head reads only the column means of
-its token stack. A keeps the patch bag, for the attention pooling. B-E keep
-the mean of their constant stack, one row. F and G keep the gate's inputs
-(the patch evidence pooled into regions, the region bag), the selected
-patch rows as a (row sum, count) prefix of the gated region rows, and,
-while mutual contrastive learning (MCL) runs, the patch prototype built
-from that row sum. MCL needs the gate, its only trainable path. Selected
+its token stack. Building them is the fold's one read of the patient's
+patch bag, which a loaded cohort keeps in its file (see `data`). A keeps
+the patch bag, for the attention pooling. B-E keep the mean of their
+constant stack, one row. F and G keep the gate's inputs (the patch
+evidence pooled into regions, the region bag), the selected patch rows as a
+(row sum, count) prefix of the gated region rows, and, while mutual
+contrastive learning (MCL) runs, the patch prototype built from that row
+sum. MCL needs the gate, its only trainable path. Selected
 indices stay only for the selection log. A training step builds only the
 gated path and the head. The same rule counts solver health: a raw-bag
 selection counts once per patient per fold, a gated selection at every use.
@@ -303,13 +305,14 @@ class Pipeline:
     constants.
 
     A patient's constants (see `_constants`) are built on first use in this
-    fold, keyed by the patient's bags. They are the constant inputs of the
-    model, in the shape its variant reads, and selected indices are kept for
-    the selection log. `memo` maps (raw bag, prompt set, scoring)
-    to the selection alignment makes from them. No parameter reaches those
-    selections, so one memo may serve every fold, variant and cohort. Only
-    the indices are shared; everything built from them stays in this fold's
-    cache.
+    fold, keyed by the patient's bags, from one read of the patch bag's
+    tokens. They are the constant inputs of the model, in the shape its
+    variant reads, and selected indices are kept for the selection log. Only
+    A's constants hold the patch bag itself. `memo` maps (raw bag, prompt
+    set, scoring) to the selection alignment makes from them. No parameter
+    reaches those selections, so one memo may serve every fold, variant and
+    cohort. Only the indices are shared; everything built from them stays
+    in this fold's cache.
     """
 
     def __init__(self, prompts: dict[str, PromptSet], d: int, cfg: TrainConfig,
@@ -368,13 +371,13 @@ class Pipeline:
             self.unconverged[level] = (count + 1, max(worst, chosen.residual))
         return chosen.selected
 
-    def _select(self, rec: PatientRecord, level: str) -> np.ndarray:
-        """Selection on the patient's raw bag at `level`, solved once per memo."""
-        bag = rec.patch_bag if level == PATCH else rec.region_bag
+    def _select(self, bag: FeatureBag, tokens: np.ndarray, level: str) -> np.ndarray:
+        """Selection on a patient's raw bag at `level`, whose tokens the
+        caller read once, solved once per memo."""
         key = (bag, self.prompts[level], self.scoring)
         chosen = self.memo.get(key)
         if chosen is None:
-            chosen = self.memo[key] = self._choose(bag.tokens, level)
+            chosen = self.memo[key] = self._choose(tokens, level)
         return self._use(chosen, level)
 
     def _constants(self, rec: PatientRecord) -> tuple:
@@ -397,7 +400,7 @@ class Pipeline:
             if not sw.use_selection:
                 tokens = ad.constant(tokens)
             else:
-                idx = self._select(rec, PATCH)
+                idx = self._select(rec.patch_bag, tokens, PATCH)
                 tokens, chosen = tokens[idx], ((PATCH, idx),)
             if sw.use_gate:
                 prefix = fuse(tokens, None)
@@ -410,7 +413,7 @@ class Pipeline:
             elif sw.use_selection:
                 region_rows = None
                 if sw.use_regions:
-                    region_idx = self._select(rec, REGION)
+                    region_idx = self._select(rec.region_bag, rec.region_bag.tokens, REGION)
                     chosen += ((REGION, region_idx),)
                     region_rows = rec.region_bag.tokens[region_idx]
                 total, count = fuse(tokens, region_rows)
@@ -605,8 +608,10 @@ def cross_validate(records: list[PatientRecord], prompts: dict[str, PromptSet],
     patient's raw-bag selections are solved once, not once per fold; the
     CLI and `run_ablation` pass one. Without it each fold solves its own,
     as a standalone `train_fold` does. Either way the results are identical.
-    A memo holds every bag it was filled from, and serves only those bags,
-    so give each cohort a fresh one.
+    A memo holds every bag object it was filled from, and serves only those
+    bags, so give each cohort a fresh one. Each fold reads every patient's
+    patch bag once: a loaded cohort's patch files are read again by every
+    fold, and must not change during the run (see `data.load_cohort`).
     """
     folds = split_folds(records, k, cfg.seed)
     reports = []

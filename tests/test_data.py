@@ -225,6 +225,20 @@ class TestCohortIO:
         assert set(parent_maps) == {(tmp_path / f"p{i:04d}_parents.txt").resolve()
                                     for i in range(n)}
 
+    def test_a_patch_file_keeps_the_shape_it_was_loaded_with(self, tmp_path):
+        # a rewrite that keeps the file's size and modification time passes
+        # the stamp check; the re-read still refuses a shape that the parent
+        # map and the other files were not checked against
+        records, prompts, _ = generate_synthetic(small_spec(n_patients=2))
+        loaded, _ = load_cohort(write_cohort(records, prompts, tmp_path))
+        path = tmp_path / "p0001_patch.mat"
+        status = path.stat()
+        write_matrix(path, records[1].patch_bag.tokens.T)
+        os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
+        with pytest.raises(DataValidationError,
+                           match=re.escape(f"{path} is 16x24, but was 24x16")):
+            loaded[1].patch_bag.tokens
+
     def test_cohort_loads_back_as_the_written_arrays(self, tmp_path):
         records, prompts, _ = generate_synthetic(small_spec(n_patients=4))
         loaded, loaded_prompts = load_cohort(write_cohort(records, prompts, tmp_path))

@@ -3,9 +3,13 @@ import dataclasses
 import gc
 import itertools
 import json
+import os
+import re
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,8 @@ import pytest
 import ad_chain
 from conftest import build_cohort, params_bytes, read_all_bytes
 from promptsurv import autodiff as ad
-from promptsurv import contrast, fusion, pipeline, survival
-from promptsurv.data import PATCH, REGION
+from promptsurv import contrast, data, fusion, pipeline, survival
+from promptsurv.data import PATCH, REGION, load_cohort, write_cohort, write_matrix
 from promptsurv.errors import ConfigError, DataValidationError
 from promptsurv.pipeline import (
     FoldReport,
@@ -812,6 +816,63 @@ class TestSelectionMemo:
             assert reused[1] == fresh[1]
             assert [r.risks for r in reused[0]] == [r.risks for r in fresh[0]]
             assert [r.selections for r in reused[0]] == [r.selections for r in fresh[0]]
+
+
+class TestLoadedCohort:
+    """A loaded cohort keeps its patch bags in their files: each fold reads a
+    patient's patch bag once, to build that patient's constants."""
+
+    def test_cv_holds_a_few_patch_bags_not_the_cohort(self, tmp_path):
+        # 12 patients with 8 x 1024-patch bags of 32 channels, 2 MB each:
+        # a cohort that held its bags would peak above 12 of them
+        bag_bytes = 8 * 1024 * 32 * 8
+        records, prompts, _ = build_cohort(n_patients=12, n_regions=8,
+                                           patches_per_region=1024, d=32)
+        manifest = write_cohort(records, prompts, tmp_path)
+        del records, prompts
+        tracemalloc.start()
+        try:
+            loaded, loaded_prompts = load_cohort(manifest)
+            with pytest.warns(UserWarning, match="unstable"):
+                cross_validate(loaded, loaded_prompts, fast_cfg(epochs=1), k=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * bag_bytes, peak / bag_bytes
+
+    def test_a_patch_file_changed_after_the_load_stops_the_run(self, tmp_path):
+        records, prompts, _ = build_cohort(n_patients=15)
+        write_cohort(records, prompts, tmp_path)
+        path = tmp_path / "p0003_patch.mat"
+        # as if the cohort was written a while before the run: the stamp is
+        # (size, mtime), so a same-size rewrite inside the file system's
+        # timestamp granularity would go unseen
+        status = path.stat()
+        os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns - 2 * 10**9))
+        loaded, loaded_prompts = load_cohort(tmp_path / "manifest.json")
+        write_matrix(path, records[3].patch_bag.tokens[::-1])
+        assert path.stat().st_size == status.st_size
+        with pytest.raises(DataValidationError, match=re.escape(f"{path} changed")):
+            cross_validate(loaded, loaded_prompts, fast_cfg(epochs=1), k=3)
+
+    def test_each_fold_reads_each_patch_bag_once(self, tmp_path, monkeypatch):
+        records, prompts, _ = build_cohort(n_patients=15)
+        records, prompts = load_cohort(write_cohort(records, prompts, tmp_path))
+        reads = Counter()
+
+        def counted(path, reader=data.read_matrix):
+            reads[Path(path).name] += 1
+            return reader(path)
+
+        monkeypatch.setattr(data, "read_matrix", counted)
+        model, trace = train_fold(records[:10], prompts, fast_cfg(epochs=2))
+        evaluate_fold(model, records[10:], trace, 0)
+        # trained or held out, one read each, and none of a region bag
+        assert reads == Counter(f"{rec.patient_id}_patch.mat" for rec in records)
+        reads.clear()
+        run_ablation(records, prompts, fast_cfg(epochs=1), k=3, variants="AG")
+        # each of the 3 folds of each rung reads every patient once
+        assert reads == Counter({f"{rec.patient_id}_patch.mat": 2 * 3 for rec in records})
 
 
 class TestReports:
