@@ -87,10 +87,16 @@ class TransportProblem:
 @dataclass
 class SinkhornResult:
     plan: np.ndarray
-    cost_value: float
+    cost: np.ndarray  # the problem's cost matrix
     converged: bool
     residual: float
     iterations: int
+
+    @property
+    def cost_value(self) -> float:
+        """The transport cost <plan, cost>, computed when read: a selection
+        needs only the plan."""
+        return float((self.plan * self.cost).sum())
 
 
 class Selection(NamedTuple):
@@ -140,7 +146,7 @@ def sinkhorn(problem: TransportProblem) -> SinkhornResult:
                    np.abs(plan.sum(axis=0) - problem.v).max())
     return SinkhornResult(
         plan=plan,
-        cost_value=float((plan * problem.cost).sum()),
+        cost=problem.cost,
         converged=bool(residual <= problem.tol),
         residual=float(residual),
         iterations=iterations,

@@ -22,8 +22,9 @@ one node per module:
   transpose;
 - `mean_logistic`: mean_rows, `linear` and sigmoid; constant rows stacked
   above its input (concat_rows) come in as their row sum, since constant
-  head rows are cached as their row sum; it adds rows in order, which
-  mean_rows does too except on one column of 8 rows or more;
+  head rows are cached as their row sum, and with them the input may be
+  absent; it adds rows in order, which mean_rows does too except on one
+  column of 8 rows or more;
 - `cumprod_complement`: one 1 - h and running product per column;
 - `neg_log_sum`: one neg(log(clamp_min(entry))) per term, then add;
 - `normalized_col_sum`: sum_cols, then division by the Euclidean norm;
@@ -258,16 +259,22 @@ def gated_attention(bag: Node, v: Node, u: Node, w: Node) -> Node:
     return _make(value, (bag, v, u, w), backward)
 
 
-def mean_logistic(x: Node, weight: Node, bias: Node, prefix=None) -> Node:
+def mean_logistic(x: Node | None, weight: Node, bias: Node, prefix=None) -> Node:
     """sigmoid(linear(column means of x, weight, bias)): MxD -> 1xT.
 
     The column sums add the rows in order (`_row_sum`). `prefix` is None, or
     (row_sum, count) for `count` constant rows stacked above x, given by
     their in-order 1xD row sum: the means are then over all count + M rows,
     bit for bit those of the whole stack, and only x receives a gradient.
+    With a prefix, x may be None: the means are then the prefix's alone.
     """
-    _require_nonempty("mean_logistic", x)
-    rows, m = x.value, x.value.shape[0]
+    if x is None:
+        if prefix is None:
+            raise ShapeError("mean_logistic needs token rows, a prefix or both")
+        rows, m, parents = np.empty((0, np.shape(prefix[0])[-1])), 0, (weight, bias)
+    else:
+        _require_nonempty("mean_logistic", x)
+        rows, m, parents = x.value, x.value.shape[0], (x, weight, bias)
     if prefix is not None:
         row_sum, count = prefix
         if row_sum.shape != (1, rows.shape[1]):
@@ -280,11 +287,11 @@ def mean_logistic(x: Node, weight: Node, bias: Node, prefix=None) -> Node:
 
     def backward(g):
         g_logit = g * value * (1.0 - value)
-        if x.requires_grad:
+        if x is not None and x.requires_grad:
             x.accumulate(np.broadcast_to((g_logit @ weight.value.T) / m, x.value.shape))
         _linear_params_backward(pooled, weight, bias, g_logit)
 
-    return _make(value, (x, weight, bias), backward)
+    return _make(value, parents, backward)
 
 
 def cumprod_complement(h: Node) -> Node:
@@ -415,10 +422,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:
     """The rows of a matrix added in order, as a 1xD row. np.add.reduce adds
-    rows in order, except a single column, which it adds pairwise."""
+    rows in order, except a single column, which it adds pairwise; there the
+    last running sum is copied out, so the row holds no M-row buffer."""
     if rows.shape[1] > 1:
         return np.add.reduce(rows, axis=0, keepdims=True)
-    return np.add.accumulate(rows, axis=0)[-1:]
+    return np.add.accumulate(rows, axis=0)[-1:].copy()
 
 
 def _linear_params_backward(x: np.ndarray, weight: Node, bias: Node, g: np.ndarray):

@@ -517,8 +517,8 @@ def load_cohort(manifest_path):
     for entry in entries:
         patch_shape = read(entry["patch"]).shape
         patch_path = os.path.join(base, entry["patch"])
-        # stamped after the read: every fold reads the file as stamped, and
-        # checks it again
+        # stamped after the read: every later read finds the file as
+        # stamped, and checks it again
         stamp = _file_stamp(patch_path)
         region_mat = read(entry["region"])
         parent_path = os.path.join(base, entry["parents"])

@@ -17,27 +17,28 @@ Whenever alignment reads a raw bag (every patch-level selection, and the
 region level of variants without the gate), its selection depends on the
 tokens, the prompts and the scoring settings only, never on a parameter.
 Each fold caches, once per patient, the constant inputs no parameter
-reaches, in one of three shapes; the head reads only the column means of
-its token stack. Building them is the fold's one read of the patient's
-patch bag, which a loaded cohort keeps in its file (see `data`). A keeps
-the patch bag, for the attention pooling. B-E keep the mean of their
-constant stack, one row. F and G keep the gate's inputs (the patch
-evidence pooled into regions, the region bag), the selected patch rows as a
-(row sum, count) prefix of the gated region rows, and, while mutual
-contrastive learning (MCL) runs, the patch prototype built from that row
-sum. MCL needs the gate, its only trainable path. Selected
-indices stay only for the selection log. A training step builds only the
-gated path and the head. The same rule counts solver health: a raw-bag
-selection counts once per patient per fold, a gated selection at every use.
+reaches, in one of two shapes; the head reads only the column means of its
+token stack. A keeps the patch bag, for the attention pooling, read from
+its file (see `data`) in each fold. B-G keep the patient's patch evidence:
+the selected patch rows as a (row sum, count) prefix, alone in B-D and
+stacked above E's raw-selected or F and G's gated region rows. F and G
+also keep the gate's inputs and, while mutual contrastive learning (MCL)
+runs, the patch prototype built from the row sum. MCL needs the gate, its
+only trainable path. Selected indices stay only for the selection log. A
+training step builds only the gated path and the head. The same rule
+counts solver health: a raw-bag selection counts once per patient per
+fold, a gated selection at every use.
 
 The one thing folds may share is a read-mostly selection memo. Given one,
-`cross_validate` solves each raw bag once and hands the indices to every
-fold, and `run_ablation` hands one memo to every rung. An entry is keyed by
-what its selection was made from: the bag and prompt set objects and the
-scoring settings. So a cosine rung never reads a transport selection, and
-no patient reads another's, whatever the ids. Selections are deterministic,
-so a memo hit returns exactly what a fresh solve would. The gated region
-selection reads the gate's output and is solved on every step.
+`cross_validate` builds each patient's patch evidence once and hands it to
+every fold, and `run_ablation` hands one memo to every rung; a memo hit
+reads no patch file. An entry is keyed by what it was made from: the bag
+and prompt set objects and the scoring settings, and for the patch
+evidence also the region bag, whose region count the pooled rows take. So
+a cosine rung never reads a transport selection, and no patient reads
+another's, whatever the ids. Entries are deterministic, so a memo hit
+returns exactly what a fresh build would. The gated region selection reads
+the gate's output and is solved on every step.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import warnings
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,8 +282,21 @@ def build_parameters(d: int, cfg: TrainConfig, switches: VariantSwitches,
     return params, head, gate, attn
 
 
-# (raw bag, prompt set, Pipeline.scoring) -> the Selection made from them
-SelectionMemo = dict[tuple[FeatureBag, PromptSet, tuple], Selection]
+class PatchEvidence(NamedTuple):
+    """What one selection rule makes of a patient's patch bag: the
+    selection, the kept rows' in-order row sum and count (the head's
+    prefix), and those rows pooled into the patient's regions (the gate's
+    patch input)."""
+
+    selection: Selection
+    prefix: tuple[np.ndarray, int]
+    pooled: np.ndarray
+
+
+# (patch bag, region bag, patch prompt set, Pipeline.scoring) -> PatchEvidence,
+# and (region bag, region prompt set, Pipeline.scoring) -> the raw region
+# Selection that E makes from them
+SelectionMemo = dict[tuple, PatchEvidence | Selection]
 
 
 @dataclass
@@ -305,14 +320,15 @@ class Pipeline:
     constants.
 
     A patient's constants (see `_constants`) are built on first use in this
-    fold, keyed by the patient's bags, from one read of the patch bag's
-    tokens. They are the constant inputs of the model, in the shape its
-    variant reads, and selected indices are kept for the selection log. Only
-    A's constants hold the patch bag itself. `memo` maps (raw bag, prompt
-    set, scoring) to the selection alignment makes from them. No parameter
-    reaches those selections, so one memo may serve every fold, variant and
-    cohort. Only the indices are shared; everything built from them stays
-    in this fold's cache.
+    fold, keyed by the patient's bags, in one of two shapes: A's patch bag,
+    read in this fold, or B-G's prefix plus the gate's inputs, read from the
+    patient's patch evidence. Selected indices are kept for the selection
+    log. `memo` maps each patient's (patch bag, region bag, patch prompt set,
+    scoring) to its `PatchEvidence` and E's (region bag, region prompt set,
+    scoring) to its raw region selection. No parameter reaches those
+    entries, so one memo may serve every fold, variant and cohort, and a hit
+    reads no patch file. The memo's arrays are shared read-only; the nodes
+    built on them stay in this fold's cache.
     """
 
     def __init__(self, prompts: dict[str, PromptSet], d: int, cfg: TrainConfig,
@@ -371,53 +387,62 @@ class Pipeline:
             self.unconverged[level] = (count + 1, max(worst, chosen.residual))
         return chosen.selected
 
-    def _select(self, bag: FeatureBag, tokens: np.ndarray, level: str) -> np.ndarray:
-        """Selection on a patient's raw bag at `level`, whose tokens the
-        caller read once, solved once per memo."""
-        key = (bag, self.prompts[level], self.scoring)
+    def _select(self, bag: FeatureBag) -> np.ndarray:
+        """Selection on a patient's raw region bag, solved once per memo."""
+        key = (bag, self.prompts[REGION], self.scoring)
         chosen = self.memo.get(key)
         if chosen is None:
-            chosen = self.memo[key] = self._choose(tokens, level)
-        return self._use(chosen, level)
+            chosen = self.memo[key] = self._choose(bag.tokens, REGION)
+        return self._use(chosen, REGION)
+
+    def _evidence(self, rec: PatientRecord) -> PatchEvidence:
+        """The patient's patch evidence, built once per memo from the one
+        read of the patch bag a memo miss makes."""
+        key = (rec.patch_bag, rec.region_bag, self.prompts[PATCH], self.scoring)
+        evidence = self.memo.get(key)
+        if evidence is None:
+            tokens = rec.patch_bag.tokens
+            chosen = self._choose(tokens, PATCH)
+            rows = tokens[chosen.selected]
+            row_sum, count = fuse(rows)
+            pooled = pool_to_regions(rows, chosen.selected, rec.patch_bag.parent_region,
+                                     rec.region_bag.size)
+            row_sum.setflags(write=False)
+            pooled.setflags(write=False)
+            evidence = self.memo[key] = PatchEvidence(chosen, (row_sum, count), pooled)
+        return evidence
 
     def _constants(self, rec: PatientRecord) -> tuple:
         """What the model reads that no parameter reaches, built once per
-        pair of bags, in one of three shapes. A: the patch bag, for the
-        attention pooling. B-E: the column mean of the head's token stack
-        (the selected patch rows, then in E the selected region rows), one
-        row, since the whole stack is constant. F and G: the head's prefix,
-        the in-order row sum and count of the selected patch rows; the patch
-        evidence pooled into regions and the region bag, the gate's inputs;
-        and, while MCL runs, the patch prototype, built from the same row sum.
-        Last, (level, kept indices) per raw-bag selection, for the selection
-        log."""
+        pair of bags, in one of two shapes. A: the patch bag, for the
+        attention pooling, the fold's one read of it. B-G: the head's prefix,
+        the patch evidence's row sum and count of the selected patch rows,
+        which B-D's head reads alone; under it E's raw-selected region rows;
+        F and G's gate inputs, the evidence pooled into regions and the
+        region bag, and, while MCL runs, the patch prototype, built from the
+        same row sum. Last, (level, kept indices) per raw-bag selection, for
+        the selection log."""
         key = (rec.patch_bag, rec.region_bag)
         cached = self._cache.get(key)
         if cached is None:
             sw = self.switches
-            tokens, chosen = rec.patch_bag.tokens, ()
-            prefix = pooled = prototype = region = None
+            tokens = prefix = pooled = prototype = region = None
+            chosen = ()
             if not sw.use_selection:
-                tokens = ad.constant(tokens)
+                tokens = ad.constant(rec.patch_bag.tokens)
             else:
-                idx = self._select(rec.patch_bag, tokens, PATCH)
-                tokens, chosen = tokens[idx], ((PATCH, idx),)
-            if sw.use_gate:
-                prefix = fuse(tokens, None)
-                if self.mcl:
-                    prototype = make_prototype(ad.constant(prefix[0]))
-                pooled = ad.constant(pool_to_regions(
-                    tokens, idx, rec.patch_bag.parent_region, rec.region_bag.size))
-                region = ad.constant(rec.region_bag.tokens)
-                tokens = None
-            elif sw.use_selection:
-                region_rows = None
-                if sw.use_regions:
-                    region_idx = self._select(rec.region_bag, rec.region_bag.tokens, REGION)
+                evidence = self._evidence(rec)
+                prefix = evidence.prefix
+                chosen = ((PATCH, self._use(evidence.selection, PATCH)),)
+                if sw.use_gate:
+                    if self.mcl:
+                        prototype = make_prototype(ad.constant(prefix[0]))
+                    pooled = ad.constant(evidence.pooled)
+                    region = ad.constant(rec.region_bag.tokens)
+                elif sw.use_regions:
+                    region_idx = self._select(rec.region_bag)
                     chosen += ((REGION, region_idx),)
-                    region_rows = rec.region_bag.tokens[region_idx]
-                total, count = fuse(tokens, region_rows)
-                tokens = ad.constant(total / count)
+                    tokens = ad.constant(rec.region_bag.tokens[region_idx])
             cached = self._cache[key] = (tokens, prefix, pooled, prototype, region, chosen)
         return cached
 
@@ -605,13 +630,14 @@ def cross_validate(records: list[PatientRecord], prompts: dict[str, PromptSet],
     """k-fold cross-validation; returns per-fold reports and the summary.
 
     Given a `memo` (an empty dict will do), all folds share it, so each
-    patient's raw-bag selections are solved once, not once per fold; the
-    CLI and `run_ablation` pass one. Without it each fold solves its own,
-    as a standalone `train_fold` does. Either way the results are identical.
-    A memo holds every bag object it was filled from, and serves only those
-    bags, so give each cohort a fresh one. Each fold reads every patient's
-    patch bag once: a loaded cohort's patch files are read again by every
-    fold, and must not change during the run (see `data.load_cohort`).
+    patient's patch evidence and raw region selection are built once, not
+    once per fold; the CLI and `run_ablation` pass one. Without it each
+    fold builds its own, as a standalone `train_fold` does. Either way the
+    results are identical. A memo holds every bag object it was filled
+    from, and serves only those bags, so give each cohort a fresh one. A
+    loaded cohort's patch file is read once per memo miss, so once per run
+    with a memo and once per fold without (and by A in every fold); the
+    files must not change during the run (see `data.load_cohort`).
     """
     folds = split_folds(records, k, cfg.seed)
     reports = []
@@ -652,8 +678,10 @@ def run_ablation(records: list[PatientRecord], prompts: dict[str, PromptSet],
                  variants: str = VARIANTS) -> list[dict]:
     """Cross-validate every requested variant; returns one row per variant.
 
-    The rungs share one selection memo: D-G select the same patch tokens,
-    and B and C each keep their own cosine entries under their scoring key.
+    The rungs share one selection memo: D-G read the same patch evidence,
+    and B and C each keep their own cosine entries under their scoring key,
+    so each patch file is read once per selection rule, and by A in each
+    fold.
     Every rung's config is checked before the first rung runs; switch
     overrides are rejected, since each rung sets its own switches, and so is
     a repeated variant, which would train its rung twice and write its row

@@ -12,31 +12,22 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import _row_sum, add_scaled, mean_logistic, neg_log_sum
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 LOG_CLAMP = 1e-12
 
 
-def fuse(selected_patch: np.ndarray,
-         selected_region: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """Stack the selected patch rows above the selected region rows (if any)
-    and return the stack's in-order row sum (1xD) and row count: the prefix
-    that `hazards` takes, or the numerator and denominator of a constant
-    stack's mean."""
-    stack = selected_patch
-    if selected_region is not None:
-        if selected_patch.shape[1] != selected_region.shape[1]:
-            raise ShapeError(f"fuse column mismatch: {selected_patch.shape} vs "
-                             f"{selected_region.shape}")
-        stack = np.concatenate([selected_patch, selected_region])
-    return _row_sum(stack), len(stack)
+def fuse(selected_patch: np.ndarray) -> tuple[np.ndarray, int]:
+    """The selected patch rows' in-order row sum (1xD) and row count: the
+    prefix that `hazards` takes, stacked above whatever token rows follow."""
+    return _row_sum(selected_patch), len(selected_patch)
 
 
-def hazards(tokens: ad.Node, head: tuple, prefix=None) -> ad.Node:
+def hazards(tokens: ad.Node | None, head: tuple, prefix=None) -> ad.Node:
     """Per-bin hazard probabilities: sigmoid(linear(mean-pooled tokens)).
     `head` is (weight, bias), d x T and 1 x T, in `mean_logistic`'s order.
     `prefix` is None or (row sum, count) of constant rows stacked above the
-    tokens (see `autodiff.mean_logistic`)."""
+    tokens, which may then be None (see `autodiff.mean_logistic`)."""
     return mean_logistic(tokens, *head, prefix)
 
 

@@ -766,6 +766,25 @@ class TestFusedModuleOps:
             value = expected.value
             assert np.array_equal(weight.grad, means.T @ (value * (1.0 - value)))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_prefix_alone_equals_the_chain_on_its_mean_row(self, seed):
+        # with no token rows the head reads the prefix's means, as the chain
+        # reads a one-row constant of them
+        rng = np.random.default_rng(940 + seed)
+        n, d, t = (int(v) for v in rng.integers(1, 9, size=3))
+        row_sum = rng.normal(scale=float(n), size=(1, d))
+        arrays = [rng.normal(scale=3.0, size=(d, t)), None]
+        arrays[1] = signed_bias(row_sum / n @ arrays[0], rng)
+        fused, chain = twin_inputs(arrays, [True, True])
+        assert_same_as_chain(ad.mean_logistic(None, *fused, (row_sum, n)),
+                             ad.mean_logistic_chain(ad.constant(row_sum / n), *chain),
+                             rng.normal(size=(1, t)), fused, chain)
+
+    def test_no_token_rows_and_no_prefix_rejected(self):
+        weight, bias = ad.parameter(np.ones((3, 2))), ad.parameter(np.ones((1, 2)))
+        with pytest.raises(ShapeError, match="prefix"):
+            ad.mean_logistic(None, weight, bias)
+
     @pytest.mark.parametrize("op", [ad.mean_logistic, ad.mean_logistic_chain])
     def test_prefix_of_another_width_rejected(self, op):
         weight, bias = ad.parameter(np.ones((3, 2))), ad.parameter(np.ones((1, 2)))

@@ -465,9 +465,9 @@ class TestTraining:
         calls = Counter()
         fuse = pipeline.fuse
 
-        def counted(patch, region):
+        def counted(patch):
             calls[variant] += 1
-            return fuse(patch, region)
+            return fuse(patch)
 
         monkeypatch.setattr(pipeline, "fuse", counted)
         model, trace = train_fold(records[:6], prompts, fast_cfg(epochs=3, variant=variant))
@@ -477,17 +477,18 @@ class TestTraining:
             evaluate_fold(model, records[6:10], trace, fold=0)
         assert calls[variant] == 10
 
-    def test_ungated_patient_constants_are_one_sum_and_one_node(self, small_cohort,
-                                                                 monkeypatch):
-        # B-E cache one mean row per patient: one in-order sum, over the
-        # whole head stack (in E the patch and region rows), and one node
+    def test_ungated_patient_constants_are_one_sum_and_e_s_region_rows(self, small_cohort,
+                                                                        monkeypatch):
+        # B-E cache one in-order sum of the selected patch rows per patient,
+        # the head's prefix; B-D build no token node, and E one node of its
+        # raw-selected region rows, which the head stacks under the prefix
         records, prompts, _ = small_cohort
         sums, nodes = [], []
         fuse, constant = pipeline.fuse, ad.constant
 
-        def counted_fuse(patch, region):
-            sums.append(len(patch) + (0 if region is None else len(region)))
-            return fuse(patch, region)
+        def counted_fuse(patch):
+            sums.append(len(patch))
+            return fuse(patch)
 
         def counted_constant(data):
             nodes.append(np.shape(data))
@@ -500,13 +501,17 @@ class TestTraining:
             nodes.clear()
             model, _ = train_fold(records[:6], prompts, fast_cfg(epochs=2, variant=variant))
             assert model.adam.step_count == 12
-            stacks = [sum(idx.size for _, idx in model._cache[cache_key(rec)][-1])
-                      for rec in records[:6]]
-            assert sorted(sums) == sorted(stacks), variant
-            assert nodes == [(1, 16)] * 6, variant
+            chosen = [dict(model._cache[cache_key(rec)][-1]) for rec in records[:6]]
+            assert sorted(sums) == sorted(kept[PATCH].size for kept in chosen), variant
+            regions = [(kept[REGION].size, 16) for kept in chosen if REGION in kept]
+            assert nodes == regions, variant
+            assert len(regions) == (6 if variant == "E" else 0), variant
 
     def test_ungated_mean_row_of_one_channel_is_the_in_order_sum(self):
-        # np.add.reduce adds one column pairwise from 8 rows on
+        # np.add.reduce adds one column pairwise from 8 rows on; the head's
+        # column means are the in-order sum of the whole stack (in E the
+        # patch rows, then the region rows). A head whose weight gradient is
+        # the means times the logit gradient shows their last bit
         records, prompts, _ = build_cohort(n_patients=12, patches_per_region=8)
         records = [replace(rec, patch_bag=replace(rec.patch_bag,
                                                   tokens=rec.patch_bag.tokens[:, :1]),
@@ -514,18 +519,31 @@ class TestTraining:
                                               tokens=rec.region_bag.tokens[:, :1]))
                    for rec in records]
         prompts = {level: replace(p, prompts=p.prompts[:, :1]) for level, p in prompts.items()}
+        rng = np.random.default_rng(7)
+        weights, bias = rng.normal(size=(1, 3)), ad.constant(rng.normal(size=(1, 3)))
+
+        def head_readout(means):
+            value = ad_chain.sigmoid(ad_chain.linear(ad.constant(means),
+                                                     ad.constant(weights), bias)).value
+            return value, means.T @ (value * (1.0 - value))
+
         differs = 0
         for variant in "BCDE":
             model, _ = train_fold(records[:6], prompts, fast_cfg(epochs=1, variant=variant))
             for rec in records[:6]:
-                entry = model._cache[cache_key(rec)]
+                tokens, prefix, *_, chosen = model._cache[cache_key(rec)]
                 stack = np.vstack([(rec.patch_bag if level == PATCH else rec.region_bag)
-                                   .tokens[idx] for level, idx in entry[-1]])
+                                   .tokens[idx] for level, idx in chosen])
                 assert len(stack) >= 8
-                in_order = np.add.accumulate(stack, axis=0)[-1:] / len(stack)
-                assert np.array_equal(entry[0].value, in_order), (variant, rec.patient_id)
-                differs += not np.array_equal(
-                    in_order, np.add.reduce(stack, axis=0, keepdims=True) / len(stack))
+                weight = ad.parameter(weights)
+                h = survival.hazards(tokens, (weight, bias), prefix)
+                h.backward()
+                in_order = head_readout(np.add.accumulate(stack, axis=0)[-1:] / len(stack))
+                assert np.array_equal(h.value, in_order[0]), (variant, rec.patient_id)
+                assert np.array_equal(weight.grad, in_order[1]), (variant, rec.patient_id)
+                pairwise = head_readout(np.add.reduce(stack, axis=0, keepdims=True)
+                                        / len(stack))
+                differs += not all(map(np.array_equal, in_order, pairwise))
         assert differs
 
     @pytest.mark.parametrize("variant", "FG")
@@ -855,7 +873,9 @@ class TestLoadedCohort:
         with pytest.raises(DataValidationError, match=re.escape(f"{path} changed")):
             cross_validate(loaded, loaded_prompts, fast_cfg(epochs=1), k=3)
 
-    def test_each_fold_reads_each_patch_bag_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def loaded_with_reads(tmp_path, monkeypatch):
+        """A loaded 15-patient cohort and a Counter of matrix reads per file."""
         records, prompts, _ = build_cohort(n_patients=15)
         records, prompts = load_cohort(write_cohort(records, prompts, tmp_path))
         reads = Counter()
@@ -865,14 +885,37 @@ class TestLoadedCohort:
             return reader(path)
 
         monkeypatch.setattr(data, "read_matrix", counted)
+        return records, prompts, reads
+
+    @staticmethod
+    def each_patch_file(records, times):
+        return Counter({f"{rec.patient_id}_patch.mat": times for rec in records})
+
+    def test_each_fold_reads_each_patch_bag_once(self, tmp_path, monkeypatch):
+        records, prompts, reads = self.loaded_with_reads(tmp_path, monkeypatch)
         model, trace = train_fold(records[:10], prompts, fast_cfg(epochs=2))
         evaluate_fold(model, records[10:], trace, 0)
         # trained or held out, one read each, and none of a region bag
-        assert reads == Counter(f"{rec.patient_id}_patch.mat" for rec in records)
+        assert reads == self.each_patch_file(records, 1)
         reads.clear()
         run_ablation(records, prompts, fast_cfg(epochs=1), k=3, variants="AG")
-        # each of the 3 folds of each rung reads every patient once
-        assert reads == Counter({f"{rec.patient_id}_patch.mat": 2 * 3 for rec in records})
+        # each of A's 3 folds reads every patient once; G's folds share one
+        # memo, so G reads each once in all
+        assert reads == self.each_patch_file(records, 3 + 1)
+
+    def test_cv_with_a_memo_reads_each_patch_bag_once(self, tmp_path, monkeypatch):
+        # a memo hit is the patient's patch evidence, so later folds read no file
+        records, prompts, reads = self.loaded_with_reads(tmp_path, monkeypatch)
+        cross_validate(records, prompts, fast_cfg(epochs=1), k=3, memo={})
+        assert reads == self.each_patch_file(records, 1)
+
+    def test_ablation_reads_each_patch_bag_once_per_selection_rule(self, tmp_path,
+                                                                    monkeypatch):
+        # B's cosine key and D's transport key each read the file once; G
+        # hits D's entry
+        records, prompts, reads = self.loaded_with_reads(tmp_path, monkeypatch)
+        run_ablation(records, prompts, fast_cfg(epochs=1), k=3, variants="BDG")
+        assert reads == self.each_patch_file(records, 2)
 
 
 class TestReports:

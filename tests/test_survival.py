@@ -29,37 +29,67 @@ def hazard_node(values):
 
 
 class TestFuse:
+    """`fuse` gives the selected patch rows' in-order row sum and count: the
+    prefix that `hazards` stacks above the token rows that follow."""
+
     @staticmethod
     def in_order_sum(stack):
         return np.add.accumulate(stack, axis=0)[-1:]
 
     def test_row_counts_add(self):
-        total, count = fuse(np.ones((3, 4)), np.full((2, 4), 0.5))
-        assert count == 5
-        assert np.array_equal(total, np.full((1, 4), 4.0))
+        prefix = fuse(np.ones((3, 4)))
+        assert prefix[1] == 3
+        assert np.array_equal(prefix[0], np.full((1, 4), 3.0))
+        # the head's means are over the 3 prefix rows and the 2 token rows
+        head = head_of(np.random.default_rng(5).normal(size=(4, 2)), np.zeros((1, 2)))
+        region = np.full((2, 4), 0.5)
+        stacked = hazards(ad.constant(np.vstack([np.ones((3, 4)), region])), head)
+        assert np.array_equal(hazards(ad.constant(region), head, prefix).value, stacked.value)
 
     def test_patch_rows_come_first(self):
         # one channel of rows whose sum depends on the order they are added in
         rng = np.random.default_rng(0)
         patch = rng.normal(size=(9, 1)) * 10.0 ** rng.uniform(-8, 8, size=(9, 1))
         region = rng.normal(size=(4, 1)) * 10.0 ** rng.uniform(-8, 8, size=(4, 1))
-        total, count = fuse(patch, region)
-        assert count == 13
-        assert total.tobytes() == self.in_order_sum(np.vstack([patch, region])).tobytes()
-        # 1e16 - 1e16 + 1 is 1, and 1 + 1e16 - 1e16 is 0
-        total, _ = fuse(np.array([[1e16], [-1e16]]), np.array([[1.0]]))
-        assert np.array_equal(total, [[1.0]])
+        total, count = fuse(patch)
+        assert count == 9
+        assert total.tobytes() == self.in_order_sum(patch).tobytes()
+        # under the prefix the head's means are the in-order sum of all 13
+        # rows; its weight gradient, the means times the logit gradient,
+        # shows their last bit
+        weights, bias = rng.normal(size=(1, 2)), ad.constant(rng.normal(size=(1, 2)))
+        weight = ad.parameter(weights)
+        h = hazards(ad.constant(region), (weight, bias), (total, count))
+        h.backward()
+        means = self.in_order_sum(np.vstack([patch, region])) / 13
+        expected = ad.sigmoid(ad.linear(ad.constant(means), ad.constant(weights), bias)).value
+        assert np.array_equal(h.value, expected)
+        assert np.array_equal(weight.grad, means.T @ (expected * (1.0 - expected)))
+        # the patch rows come first: 1e16 - 1e16 + 1 is 1, and -1e16 + 1 + 1e16 is 0
+        h = hazards(ad.constant([[-1e16], [1.0]]), head_of([[1.0]], [[0.0]]),
+                    fuse(np.array([[1e16]])))
+        assert np.array_equal(h.value, ad.sigmoid(ad.constant([[1.0 / 3.0]])).value)
 
     def test_none_region_passes_through(self):
-        # with no region rows, the patch rows alone are summed
-        patch = np.random.default_rng(1).normal(size=(7, 3))
-        total, count = fuse(patch, None)
+        # with no token rows, the head reads the patch rows' prefix alone
+        rng = np.random.default_rng(1)
+        patch = rng.normal(size=(7, 3))
+        total, count = fuse(patch)
         assert count == 7
         assert total.tobytes() == self.in_order_sum(patch).tobytes()
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=(1, 2)))
+        assert np.array_equal(hazards(None, head, (total, count)).value,
+                              hazards(ad.constant(patch), head).value)
+
+    def test_one_channel_sum_keeps_no_running_sums(self):
+        # a memo keeps the row sum for the whole run
+        total, _ = fuse(np.ones((5000, 1)))
+        assert total.base is None and total.nbytes == 8
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            fuse(np.ones((1, 3)), np.ones((1, 4)))
+        head = head_of(np.ones((4, 2)), np.ones((1, 2)))
+        with pytest.raises(ShapeError, match="prefix"):
+            hazards(ad.constant(np.ones((1, 4))), head, fuse(np.ones((1, 3))))
 
 
 class TestHazards:
